@@ -46,7 +46,8 @@ struct BaseLists {
 
 // Gate-list skeleton with one tagged placeholder per noise site. The tag
 // (params[0]) survives simplification, so insertion positions can be
-// located after inverse-pair cancellation.
+// located after inverse-pair cancellation. The TN-trajectories skeleton
+// places its placeholders identically, so the two share a plan.
 BaseLists build_base(const ch::NoisyCircuit& nc) {
   BaseLists base;
   for (const ch::Op& op : nc.ops()) {
@@ -254,72 +255,54 @@ void fill_error_bounds(const std::vector<Site>& sites, std::size_t level, double
 
 // --- plan-cache acquisition ---------------------------------------------------
 
-// A template either served from an ApproxOptions::plan_cache entry (shared,
-// kept alive by the entry pointer) or compiled for this call. Both hand out
-// a stable reference; cached batched plans are memoized inside the entry.
-struct AcquiredTemplate {
-  std::shared_ptr<const PlanCache::Entry> entry;  // cached case
-  std::shared_ptr<const AmplitudeTemplate> owned;  // cache-free case
-  const AmplitudeTemplate& tmpl() const { return entry ? entry->tmpl() : *owned; }
-};
+// The plan source of one call: the caller's ApproxOptions::plan_cache, or a
+// call-local cache, so the top and bottom layers share one plan and one
+// batched plan either way. Cache traffic is reported only for the caller's
+// cache; compiles are always counted.
+class CallCache {
+ public:
+  explicit CallCache(PlanCache* caller)
+      : cache_(caller ? *caller : local_), report_(caller != nullptr) {}
 
-AcquiredTemplate acquire_template(PlanCache* cache, int n,
-                                  const std::vector<qc::Gate>& skeleton,
-                                  std::uint64_t psi_bits, std::uint64_t v_bits,
-                                  bool conjugate, const EvalOptions& eval,
-                                  tn::ContractStats& setup_stats) {
-  // `eval` arrives boundary-resolved (resolved_eval_options ran once where
-  // the sweep fixed its skeleton), so eval.tn is already in plan-cache key
-  // form and the template's own resolution is a pass-through.
-  AcquiredTemplate out;
-  if (cache) {
+  std::shared_ptr<const PlanCache::Entry> acquire_template(
+      int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
+      std::uint64_t v_bits, bool conjugate, const EvalOptions& eval,
+      tn::ContractStats& setup_stats) {
+    // `eval` arrives boundary-resolved (resolved_eval_options ran once where
+    // the sweep fixed its skeleton), so eval.tn is already in key form.
     bool hit = false;
-    out.entry = cache->entry(
-        PlanCache::template_key(n, skeleton, psi_bits, v_bits, conjugate, eval.tn),
-        [&] {
-          return AmplitudeTemplate(n, skeleton, psi_bits, v_bits, conjugate, eval);
-        },
-        &hit);
-    if (hit) {
-      ++setup_stats.plan_cache_hits;
-    } else {
-      ++setup_stats.plan_cache_misses;
-      setup_stats.merge(out.entry->tmpl().compile_stats());
-    }
-  } else {
-    out.owned =
-        std::make_shared<const AmplitudeTemplate>(n, skeleton, psi_bits, v_bits, conjugate, eval);
-    setup_stats.merge(out.owned->compile_stats());
+    auto entry = cache_.amplitude_template(n, skeleton, psi_bits, v_bits, conjugate, eval,
+                                           &hit, &setup_stats);
+    note(hit, setup_stats);
+    return entry;
   }
-  return out;
-}
 
-std::shared_ptr<const tn::BatchedPlan> acquire_batched(
-    const AcquiredTemplate& at, std::span<const std::size_t> slots, std::size_t capacity,
-    std::span<const std::size_t> variant_counts, std::size_t max_varied_per_term,
-    std::span<const char> unconstrained, tn::ContractStats& setup_stats) {
-  if (at.entry) {
+  std::shared_ptr<const tn::BatchedPlan> acquire_batched(
+      const PlanCache::Entry& entry, std::span<const std::size_t> slots, std::size_t capacity,
+      std::span<const std::size_t> variant_counts, std::size_t max_varied_per_term,
+      std::span<const char> unconstrained, tn::ContractStats& setup_stats) {
     bool hit = false;
-    tn::ContractStats compile_stats;
-    auto plan = at.entry->batched(
+    auto plan = entry.batched(
         PlanCache::batched_key(slots, capacity, variant_counts, max_varied_per_term,
                                unconstrained),
         [&] {
-          return at.tmpl().compile_batched(slots, capacity, &compile_stats, variant_counts,
-                                           max_varied_per_term, unconstrained);
+          return entry.tmpl().compile_batched(slots, capacity, &setup_stats, variant_counts,
+                                              max_varied_per_term, unconstrained);
         },
         &hit);
-    if (hit) {
-      ++setup_stats.plan_cache_hits;
-    } else {
-      ++setup_stats.plan_cache_misses;
-      setup_stats.merge(compile_stats);
-    }
+    note(hit, setup_stats);
     return plan;
   }
-  return std::make_shared<const tn::BatchedPlan>(at.tmpl().compile_batched(
-      slots, capacity, &setup_stats, variant_counts, max_varied_per_term, unconstrained));
-}
+
+ private:
+  void note(bool hit, tn::ContractStats& stats) const {
+    if (report_) ++(hit ? stats.plan_cache_hits : stats.plan_cache_misses);
+  }
+
+  PlanCache local_{2};  // declared before cache_, which may refer to it
+  PlanCache& cache_;
+  const bool report_;
+};
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
 
@@ -642,8 +625,9 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     return result;
   };
 
-  AcquiredTemplate top_at, bot_at;
-  std::shared_ptr<const tn::BatchedPlan> top_bplan, bot_bplan;
+  CallCache plans(opts.plan_cache);
+  std::shared_ptr<const PlanCache::Entry> top_at, bot_at;
+  std::shared_ptr<const tn::BatchedPlan> bplan;  // shared by both layers
   SiteFactors fac;
   std::vector<const tsr::Tensor*> caps_of_output;
   std::vector<std::size_t> slots, cap_nodes;
@@ -654,12 +638,13 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // Canonical v = 0 templates: the output caps are placeholders (always
     // substituted below), so one cached entry serves EVERY bitstring set
     // over this skeleton -- that is what makes the plan cache hit across
-    // XEB batches arriving over time.
-    top_at = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0, /*conjugate=*/false,
-                              eval, setup_stats);
-    bot_at = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0, /*conjugate=*/true,
-                              eval, setup_stats);
-    fac = build_site_factors(base.sites, site_pos, top_at.tmpl());
+    // XEB batches arriving over time. The conjugated bottom layer has the
+    // top layer's topology, so both replay one plan.
+    top_at = plans.acquire_template(n, skeleton, psi_bits, 0, /*conjugate=*/false, eval,
+                                    setup_stats);
+    bot_at = plans.acquire_template(n, skeleton, psi_bits, 0, /*conjugate=*/true, eval,
+                                    setup_stats);
+    fac = build_site_factors(base.sites, site_pos, top_at->tmpl());
 
     // Per-output cap pointer table (the template's shared <0|/<1| objects,
     // so the executor's pointer compaction shares rows across bitstrings).
@@ -667,12 +652,12 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // layer.
     caps_of_output.resize(K * nn);
     for (std::size_t o = 0; o < K; ++o)
-      top_at.tmpl().fill_output_caps(v_bits[o],
-                                     std::span(caps_of_output).subspan(o * nn, nn));
+      top_at->tmpl().fill_output_caps(v_bits[o],
+                                      std::span(caps_of_output).subspan(o * nn, nn));
 
     // Combined varying slots: the noise sites keep Algorithm 1's per-term
     // deviation promise (<= level), the output caps flip freely.
-    cap_nodes = top_at.tmpl().output_cap_nodes();
+    cap_nodes = top_at->tmpl().output_cap_nodes();
     slots = fac.node;
     slots.insert(slots.end(), cap_nodes.begin(), cap_nodes.end());
     V = slots.size();
@@ -683,19 +668,13 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     capacity = term_batch * out_chunk;
 
     try {
-      top_bplan =
-          acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
-      bot_bplan =
-          acquire_batched(bot_at, slots, capacity, counts, level, unconstrained, setup_stats);
-      if (!output_batch_worthwhile(*top_bplan) || !output_batch_worthwhile(*bot_bplan)) {
-        top_bplan.reset();
-        bot_bplan.reset();
-      }
+      bplan = plans.acquire_batched(*top_at, slots, capacity, counts, level, unconstrained,
+                                    setup_stats);
+      if (!output_batch_worthwhile(*bplan)) bplan.reset();
     } catch (const MemoryOutError&) {
       // Combined batch exceeds the workspace budget; the per-output plan
       // replay below fits and is bit-identical.
-      top_bplan.reset();
-      bot_bplan.reset();
+      bplan.reset();
     }
   }
   } catch (const CancelledError&) {
@@ -704,15 +683,15 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
   // Per-worker evaluator factory for the three (bit-identical) strategies.
   std::function<WorkerEval(std::size_t)> make_eval;
-  if (tn_path && top_bplan) {
+  if (tn_path && bplan) {
     // Batched traversals: each item covers (term range x <= out_chunk
     // outputs) pairs per traversal -- noise slots level-capped, cap slots
     // unconstrained.
     make_eval = [&](std::size_t) -> WorkerEval {
       auto top_session =
-          std::make_shared<AmplitudeTemplate::BatchedSession>(top_at.tmpl(), *top_bplan);
+          std::make_shared<AmplitudeTemplate::BatchedSession>(top_at->tmpl(), *bplan);
       auto bot_session =
-          std::make_shared<AmplitudeTemplate::BatchedSession>(bot_at.tmpl(), *bot_bplan);
+          std::make_shared<AmplitudeTemplate::BatchedSession>(bot_at->tmpl(), *bplan);
       top_session->set_control(control);
       bot_session->set_control(control);
       auto top_ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
@@ -767,8 +746,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // Per-output plan replay: site tensors and the output's caps go in as
     // per-call session substitutions (MO'd or hopeless batched plan).
     make_eval = [&](std::size_t) -> WorkerEval {
-      auto top_session = std::make_shared<AmplitudeTemplate::Session>(top_at.tmpl().session());
-      auto bot_session = std::make_shared<AmplitudeTemplate::Session>(bot_at.tmpl().session());
+      auto top_session = std::make_shared<AmplitudeTemplate::Session>(top_at->tmpl().session());
+      auto bot_session = std::make_shared<AmplitudeTemplate::Session>(bot_at->tmpl().session());
       top_session->set_control(control);
       bot_session->set_control(control);
       auto top_subs =
@@ -1007,10 +986,10 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
     // key: the plan's flops/arena ARE the per-layer cost, and a cache miss
     // here is work the run would have paid anyway.
     tn::ContractStats setup_stats;
-    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, skeleton, psi_bits,
-                                                  v_bits, /*conjugate=*/false, eval,
-                                                  setup_stats);
-    const tn::ContractionPlan& plan = top.tmpl().plan();
+    CallCache plans(opts.plan_cache);
+    const auto top = plans.acquire_template(n, skeleton, psi_bits, v_bits, /*conjugate=*/false,
+                                            eval, setup_stats);
+    const tn::ContractionPlan& plan = top->tmpl().plan();
     model.layer_flops = static_cast<double>(plan.total_flops());
     model.peak_elems = plan.workspace_elems();
   } else {
@@ -1067,17 +1046,18 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
   SweepTimer timer(result.plan_seconds, result.eval_seconds);
 
   if (opts.reuse_plans && uses_tensor_network(eval, n)) {
-    // Plan/execute fast path: every term's top (bottom) network shares one
-    // topology -- only the tensors at the u chosen noise sites change. Plan
-    // each single-layer network once (or fetch it from the plan cache),
-    // then replay the plan per term with substituted site tensors, one
-    // workspace per worker.
-    const AcquiredTemplate top_at = acquire_template(
-        opts.plan_cache, n, skeleton, psi_bits, v_bits, /*conjugate=*/false, eval, setup_stats);
-    const AcquiredTemplate bot_at = acquire_template(
-        opts.plan_cache, n, skeleton, psi_bits, v_bits, /*conjugate=*/true, eval, setup_stats);
-    const AmplitudeTemplate& top_tmpl = top_at.tmpl();
-    const AmplitudeTemplate& bot_tmpl = bot_at.tmpl();
+    // Plan/execute fast path: every term's top and bottom networks share
+    // one topology -- only the tensors at the u chosen noise sites change,
+    // and the bottom layer conjugates every tensor. Plan it once (or fetch
+    // it from the plan cache), then replay the plan per term and layer with
+    // substituted site tensors, one workspace per worker.
+    CallCache plans(opts.plan_cache);
+    const auto top_at = plans.acquire_template(n, skeleton, psi_bits, v_bits,
+                                               /*conjugate=*/false, eval, setup_stats);
+    const auto bot_at = plans.acquire_template(n, skeleton, psi_bits, v_bits,
+                                               /*conjugate=*/true, eval, setup_stats);
+    const AmplitudeTemplate& top_tmpl = top_at->tmpl();
+    const AmplitudeTemplate& bot_tmpl = bot_at->tmpl();
 
     const SiteFactors fac = build_site_factors(base.sites, site_pos, top_tmpl);
     const std::vector<std::size_t>& site_node = fac.node;
@@ -1102,15 +1082,15 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
         variant_counts[s] = base.sites[s].split.terms();
       // At level l every term deviates from the dominant assignment at u <=
       // l sites, which tightens the batched row bounds substantially.
-      const std::shared_ptr<const tn::BatchedPlan> top_bplan =
-          acquire_batched(top_at, site_node, batch, variant_counts, level, {}, setup_stats);
-      const std::shared_ptr<const tn::BatchedPlan> bot_bplan =
-          acquire_batched(bot_at, site_node, batch, variant_counts, level, {}, setup_stats);
+      // One batched plan serves both layers (they share the per-term plan).
+      const std::shared_ptr<const tn::BatchedPlan> bplan =
+          plans.acquire_batched(*top_at, site_node, batch, variant_counts, level, {},
+                                setup_stats);
 
       timer.eval_started();
       run_workers([&](std::size_t w, std::size_t begin, std::size_t end) {
-        AmplitudeTemplate::BatchedSession top_session(top_tmpl, *top_bplan);
-        AmplitudeTemplate::BatchedSession bot_session(bot_tmpl, *bot_bplan);
+        AmplitudeTemplate::BatchedSession top_session(top_tmpl, *bplan);
+        AmplitudeTemplate::BatchedSession bot_session(bot_tmpl, *bplan);
         top_session.set_control(control);
         bot_session.set_control(control);
         std::vector<const tsr::Tensor*> top_ptrs(batch * num_sites);

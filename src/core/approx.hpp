@@ -60,17 +60,20 @@ struct ApproxOptions {
   /// k replay budgets), so TO behavior does not depend on batch size.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
-  /// When set, approximate_fidelity / approximate_fidelity_outputs /
-  /// xeb_sweep look their compiled AmplitudeTemplates and batched plans up
-  /// by topology key instead of recompiling them, so repeated calls over
-  /// the same skeleton (level ladders, accuracy sweeps, XEB batches
-  /// arriving over time) pay the planning cost once. Results are
-  /// bit-identical with or without a cache (plan compilation is
+  /// Plans are keyed by topology: within one call the top and bottom
+  /// layers share one plan and one batched plan whether or not a cache is
+  /// set (uncached calls use a call-local one). When set, approximate_
+  /// fidelity / approximate_fidelity_outputs / xeb_sweep also reuse plans
+  /// ACROSS calls -- level ladders, accuracy sweeps, XEB batches arriving
+  /// over time, other output bitstrings or gate angles over the same
+  /// skeleton -- so the planning cost is paid once per topology. Results
+  /// are bit-identical with or without a cache (plan compilation is
   /// deterministic); the caller owns the cache and may share one instance
   /// across concurrent calls (PlanCache is thread-safe). Cache traffic is
-  /// reported in ContractStats::plan_cache_hits / plan_cache_misses; calls
-  /// served from the cache report plans_compiled == 0. Only consulted on
-  /// the tensor-network reuse_plans path.
+  /// reported in ContractStats::plan_cache_hits / plan_cache_misses (a
+  /// lookup misses exactly when it compiled); calls served from the cache
+  /// report plans_compiled == 0. Only consulted on the tensor-network
+  /// reuse_plans path.
   PlanCache* plan_cache = nullptr;
   /// Cooperative control (core/run_control.hpp): polled by the sweep work
   /// queue at every item claim, by plan compilation, and at step

@@ -214,8 +214,12 @@ class TnTrajectoriesBackend final : public Backend {
   void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
            const SimulateOptions& opts, const CostEstimate& config,
            SimResult& out) const override {
+    // The same eval estimate() priced (the deadline reaches the replay
+    // timeout), so the plan-cache key matches and estimation's plan is
+    // replayed here instead of recompiled.
     out.traj = trajectories_tn(nc, psi_bits, v_bits, config.samples, opts.seed,
-                               parallel_options(opts), opts.eval);
+                               parallel_options(opts), tn_approx_options(opts, 0).eval,
+                               opts.plan_cache);
     out.value = out.traj.mean;
     out.error_bound = config.achievable_error;
   }

@@ -14,7 +14,8 @@
 //
 // Estimation is cheap by construction: the Algorithm-1 adapters reuse the
 // compiled tn::ContractionPlan's flop/arena accounting through the shared
-// PlanCache (so estimating pre-warms exactly the template the run replays),
+// PlanCache (so estimating pre-warms exactly the plan the run replays, for
+// tn-approx's two layers and tn-trajectories' samples alike),
 // trajectory adapters combine sim::hoeffding_samples with closed-form
 // per-sample sweep models, and the TDD adapter walks the doubled network's
 // sequential absorb order without building a single diagram.

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "circuit/simplify.hpp"
+#include "core/plan_cache.hpp"
 #include "sim/statevector.hpp"
 #include "tensor/contract.hpp"
 
@@ -87,13 +88,24 @@ EvalOptions resolved_eval_options(int n, const std::vector<qc::Gate>& gates,
 AmplitudeTemplate::AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton,
                                      std::uint64_t psi_bits, std::uint64_t v_bits,
                                      bool conjugate, const EvalOptions& opts)
+    : AmplitudeTemplate(n, skeleton, psi_bits, v_bits, conjugate, opts,
+                        [this](const tn::Network& net, const tn::ContractOptions& copts) {
+                          return PlanCache::compile_plan(net, copts, &compile_stats_);
+                        }) {}
+
+AmplitudeTemplate::AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton,
+                                     std::uint64_t psi_bits, std::uint64_t v_bits,
+                                     bool conjugate, const EvalOptions& opts,
+                                     const PlanSource& plan_source)
     : net_(amplitude_network(n, skeleton, psi_bits, v_bits, conjugate)),
       copts_(resolved_contract_options(n, skeleton, opts)),
-      plan_(tn::ContractionPlan::compile(net_, copts_, &compile_stats_)),
+      plan_(plan_source(net_, copts_)),
       n_(n),
       num_gates_(skeleton.size()),
       cap_zero_(basis_state_tensor(false)),
       cap_one_(basis_state_tensor(true)) {
+  la::detail::require(plan_ && plan_->num_inputs() == net_.num_nodes(),
+                      "AmplitudeTemplate: plan does not match the network topology");
   // Templates are cached (core::PlanCache) and outlive the call that built
   // them, so the caller's RunControl -- which the compile above honored --
   // must not survive on the stored options: a later compile_batched through
@@ -176,7 +188,7 @@ cplx AmplitudeTemplate::Session::evaluate(std::span<const Substitution> subs) {
   cplx value;
   try {
     value = tmpl_->plan_
-                .execute(std::span<const tsr::Tensor* const>(inputs_), ws_, &stats_)
+                ->execute(std::span<const tsr::Tensor* const>(inputs_), ws_, &stats_)
                 .to_scalar();
   } catch (...) {
     for (const Substitution& s : subs) inputs_[s.first] = &tmpl_->net_.node(s.first).tensor;

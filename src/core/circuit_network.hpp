@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -125,25 +126,42 @@ inline bool output_batch_worthwhile(const tn::BatchedPlan& bp) {
 
 /// Plan-once / replay-per-term amplitude evaluation.
 ///
-/// Builds the tensor network of <v| skeleton |psi> once, compiles its
-/// contraction plan once, and replays the plan with per-call tensor
+/// Builds the tensor network of <v| skeleton |psi> once, holds a compiled
+/// contraction plan for it, and replays the plan with per-call tensor
 /// substitutions at chosen nodes. Every Algorithm-1 term and every TN
 /// trajectory sample shares one topology (only the noise-site insertions
 /// change), so this turns O(terms x (plan + contract)) into
-/// O(plan + terms x contract).
+/// O(plan + terms x contract). The plan is held by shared_ptr: templates of
+/// one topology -- the conjugated bottom layer, another output bitstring,
+/// other gate matrices -- can replay one plan object (core::PlanCache).
 ///
 /// The template is immutable after construction and safe to share across
 /// worker threads; each worker evaluates through its own Session (which
-/// owns the plan workspace). Construction compiles the plan, so
-/// MemoryOutError / TimeoutError surface here -- at plan time -- exactly
-/// like they would on a first contraction.
+/// owns the plan workspace). A compile during construction raises
+/// MemoryOutError / TimeoutError here -- at plan time -- exactly like they
+/// would on a first contraction.
 class AmplitudeTemplate {
  public:
+  /// Supplies the template's plan: called once during construction with
+  /// the template's network and resolved options, it returns a plan for
+  /// that topology under those options -- compiled for this call, or
+  /// shared with same-topology templates.
+  using PlanSource = std::function<std::shared_ptr<const tn::ContractionPlan>(
+      const tn::Network& net, const tn::ContractOptions& copts)>;
+
   /// `skeleton` must stay shape-stable under substitution: replacement
   /// tensors carry the same shape as the gate they stand in for.
   /// `opts.sequence_for` (if set) is resolved once against the skeleton.
+  /// Compiles the template's own plan (compile_stats() records it).
   AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
                     std::uint64_t v_bits, bool conjugate, const EvalOptions& opts);
+
+  /// Like the constructor above, but the plan comes from `plan_source`
+  /// (compile_stats() stays empty). Throws LinalgError when the plan's
+  /// input count does not match the network.
+  AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
+                    std::uint64_t v_bits, bool conjugate, const EvalOptions& opts,
+                    const PlanSource& plan_source);
 
   /// Network node carrying skeleton gate `gate_index` (for substitutions).
   std::size_t node_of_gate(std::size_t gate_index) const {
@@ -173,8 +191,10 @@ class AmplitudeTemplate {
   /// batching terms fill term-major blocks of a larger table).
   void fill_output_caps(std::uint64_t v_bits, std::span<const tsr::Tensor*> ptrs) const;
 
-  const tn::ContractionPlan& plan() const { return plan_; }
-  /// Stats recorded while compiling the plan (plans_compiled = 1).
+  const tn::ContractionPlan& plan() const { return *plan_; }
+  const std::shared_ptr<const tn::ContractionPlan>& shared_plan() const { return plan_; }
+  /// Stats recorded while this template compiled its own plan
+  /// (plans_compiled = 1); empty when the plan came from a PlanSource.
   const tn::ContractStats& compile_stats() const { return compile_stats_; }
 
   /// Compile a batched replay of the template's plan: up to `capacity`
@@ -191,7 +211,7 @@ class AmplitudeTemplate {
                                   std::size_t max_varied_per_term =
                                       static_cast<std::size_t>(-1),
                                   std::span<const char> unconstrained = {}) const {
-    return plan_.compile_batched(nodes, capacity, copts_, stats, variant_counts,
+    return plan_->compile_batched(nodes, capacity, copts_, stats, variant_counts,
                                  max_varied_per_term, unconstrained);
   }
 
@@ -244,7 +264,8 @@ class AmplitudeTemplate {
   class BatchedSession {
    public:
     /// Template and batched plan must outlive the session; `bplan` must
-    /// have been compiled from this template's plan.
+    /// have been compiled from a plan of this template's topology (its own,
+    /// or one it shares through core::PlanCache).
     BatchedSession(const AmplitudeTemplate& tmpl, const tn::BatchedPlan& bplan);
     /// Evaluate k <= bplan.capacity() amplitudes: ptrs[t * V + v] stands in
     /// at varying node bplan.varying_slots()[v] for term t (V = number of
@@ -277,12 +298,12 @@ class AmplitudeTemplate {
 
  private:
   // Declaration order matters: compile_stats_ is written while plan_
-  // initializes, and plan_ compiles from net_; copts_ is resolved before
-  // plan_ compiles and kept for compile_batched.
+  // initializes, and plan_ is obtained for net_; copts_ is resolved before
+  // plan_ and kept for compile_batched.
   tn::Network net_;
   tn::ContractStats compile_stats_;
   tn::ContractOptions copts_;
-  tn::ContractionPlan plan_;
+  std::shared_ptr<const tn::ContractionPlan> plan_;
   int n_ = 0;
   std::size_t num_gates_ = 0;
   // Shared <0| / <1| caps for output-batched evaluation (see output_cap).

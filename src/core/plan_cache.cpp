@@ -1,5 +1,6 @@
 #include "core/plan_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace noisim::core {
@@ -28,19 +29,40 @@ void put_matrix(std::string& s, const la::Matrix& m) {
     }
 }
 
+// The resolved contraction options, field by field. RunControl is left out
+// on purpose: an armed control never changes what a plan computes, only
+// whether it is allowed to finish.
+void put_options(std::string& s, const tn::ContractOptions& copts) {
+  put_u64(s, static_cast<std::uint64_t>(copts.strategy));
+  put_u64(s, copts.max_tensor_elems);
+  put_f64(s, copts.timeout_seconds);
+  put_u64(s, copts.max_workspace_elems);
+  put_u64(s, copts.greedy_cost_weights.size());
+  for (const double w : copts.greedy_cost_weights) put_f64(s, w);
+  // Portfolio knobs steer which schedule Auto compiles to, so they are
+  // part of the resolved-options identity like the greedy ladder above.
+  put_u64(s, copts.portfolio ? 1 : 0);
+  put_u64(s, copts.portfolio_strategies.size());
+  for (const tn::OrderStrategy st : copts.portfolio_strategies)
+    put_u64(s, static_cast<std::uint64_t>(st));
+  put_u64(s, copts.random_restarts);
+  put_u64(s, copts.custom_sequence.size());
+  for (const std::size_t q : copts.custom_sequence) put_u64(s, q);
+}
+
 }  // namespace
 
 PlanCache::PlanCache(std::size_t max_entries) : max_entries_(max_entries) {
   la::detail::require(max_entries >= 1, "PlanCache: max_entries must be >= 1");
 }
 
-std::shared_ptr<const tn::BatchedPlan> PlanCache::Entry::batched(
+std::shared_ptr<const tn::BatchedPlan> PlanCache::Plan::batched(
     const std::string& key, const std::function<tn::BatchedPlan()>& compile,
     bool* hit) const {
   {
     const support::MutexLock lock(mutex_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
+    const auto it = batched_.find(key);
+    if (it != batched_.end()) {
       owner_->note(true);
       if (hit) *hit = true;
       return it->second;
@@ -51,31 +73,34 @@ std::shared_ptr<const tn::BatchedPlan> PlanCache::Entry::batched(
   // plans, so whichever insert wins is interchangeable.
   auto plan = std::make_shared<const tn::BatchedPlan>(compile());
   const support::MutexLock lock(mutex_);
-  if (plans_.size() >= kMaxBatchedPlans && !plans_.count(key)) plans_.clear();
-  const auto [it, inserted] = plans_.emplace(key, plan);
+  if (batched_.size() >= kMaxBatchedPlans && !batched_.count(key)) batched_.clear();
+  const auto [it, inserted] = batched_.emplace(key, plan);
   owner_->note(false);
   if (hit) *hit = false;
   return inserted ? plan : it->second;
 }
 
-std::shared_ptr<const PlanCache::Entry> PlanCache::entry(
-    const std::string& key, const std::function<AmplitudeTemplate()>& build, bool* hit) {
-  {
-    const support::MutexLock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // touch
-      ++hits_;
-      if (hit) *hit = true;
-      return it->second->second;
-    }
-  }
-  // Build outside the lock; on a lost race adopt the winner's entry so all
-  // callers share one instance (and one batched-plan memo).
-  std::shared_ptr<const Entry> built(new Entry(this, build()));
+std::shared_ptr<const tn::ContractionPlan> PlanCache::compile_plan(
+    const tn::Network& net, const tn::ContractOptions& copts, tn::ContractStats* stats) {
+  return std::make_shared<const tn::ContractionPlan>(
+      tn::ContractionPlan::compile(net, copts, stats));
+}
+
+std::shared_ptr<const PlanCache::Entry> PlanCache::find_template(const std::string& key) {
   const support::MutexLock lock(mutex_);
-  ++misses_;
-  if (hit) *hit = false;
+  const auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);  // touch
+  ++hits_;
+  return it->second->second;
+}
+
+std::shared_ptr<const PlanCache::Entry> PlanCache::insert_template(
+    const std::string& key, std::shared_ptr<const Entry> built, bool hit) {
+  const support::MutexLock lock(mutex_);
+  ++(hit ? hits_ : misses_);
+  // On a lost race adopt the winner's entry so all callers share one
+  // instance.
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -88,6 +113,59 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::entry(
     lru_.pop_back();
   }
   return built;
+}
+
+std::shared_ptr<const PlanCache::Entry> PlanCache::amplitude_template(
+    int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits, std::uint64_t v_bits,
+    bool conjugate, const EvalOptions& eval, bool* hit, tn::ContractStats* stats) {
+  // An unresolved sequence_for would change the compiled order without
+  // changing either key.
+  la::detail::require(!eval.sequence_for,
+                      "PlanCache::amplitude_template: eval must be boundary-resolved");
+  const std::string key = template_key(n, skeleton, psi_bits, v_bits, conjugate, eval.tn);
+  if (auto found = find_template(key)) {
+    if (hit) *hit = true;
+    return found;
+  }
+
+  // Template miss: build the network (cheap) on the plan table's plan for
+  // this topology, compiling it outside the lock if no live template holds
+  // one.
+  const std::string pkey = plan_key(n, skeleton, eval.tn);
+  std::shared_ptr<const Plan> plan;
+  {
+    const support::MutexLock lock(mutex_);
+    const auto it = plans_.find(pkey);
+    if (it != plans_.end()) plan = it->second.lock();
+  }
+  const bool plan_hit = plan != nullptr;
+  AmplitudeTemplate tmpl(
+      n, skeleton, psi_bits, v_bits, conjugate, eval,
+      [&](const tn::Network& net, const tn::ContractOptions& copts) {
+        if (!plan_hit) plan.reset(new Plan(this, compile_plan(net, copts, stats)));
+        return plan->plan();
+      });
+  if (!plan_hit) {
+    const support::MutexLock lock(mutex_);
+    std::erase_if(plans_, [](const auto& slot) { return slot.second.expired(); });
+    plans_.insert_or_assign(pkey, plan);
+  }
+  if (hit) *hit = plan_hit;
+  return insert_template(key, std::shared_ptr<const Entry>(new Entry(plan, std::move(tmpl))),
+                         plan_hit);
+}
+
+std::shared_ptr<const PlanCache::Entry> PlanCache::entry(
+    const std::string& key, const std::function<AmplitudeTemplate()>& build, bool* hit) {
+  if (auto found = find_template(key)) {
+    if (hit) *hit = true;
+    return found;
+  }
+  AmplitudeTemplate tmpl = build();
+  std::shared_ptr<const Plan> plan(new Plan(this, tmpl.shared_plan()));
+  if (hit) *hit = false;
+  return insert_template(key, std::shared_ptr<const Entry>(new Entry(plan, std::move(tmpl))),
+                         false);
 }
 
 std::size_t PlanCache::hits() const {
@@ -105,10 +183,17 @@ std::size_t PlanCache::size() const {
   return lru_.size();
 }
 
+std::size_t PlanCache::plans() const {
+  const support::MutexLock lock(mutex_);
+  return static_cast<std::size_t>(std::count_if(
+      plans_.begin(), plans_.end(), [](const auto& slot) { return !slot.second.expired(); }));
+}
+
 void PlanCache::clear() {
   const support::MutexLock lock(mutex_);
   lru_.clear();
   index_.clear();
+  plans_.clear();
 }
 
 void PlanCache::note(bool hit) {
@@ -129,21 +214,7 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
   put_u64(key, psi_bits);
   put_u64(key, v_bits);
   put_u64(key, conjugate ? 1 : 0);
-  put_u64(key, static_cast<std::uint64_t>(copts.strategy));
-  put_u64(key, copts.max_tensor_elems);
-  put_f64(key, copts.timeout_seconds);
-  put_u64(key, copts.max_workspace_elems);
-  put_u64(key, copts.greedy_cost_weights.size());
-  for (const double w : copts.greedy_cost_weights) put_f64(key, w);
-  // Portfolio knobs steer which schedule Auto compiles to, so they are
-  // part of the resolved-options identity like the greedy ladder above.
-  put_u64(key, copts.portfolio ? 1 : 0);
-  put_u64(key, copts.portfolio_strategies.size());
-  for (const tn::OrderStrategy s : copts.portfolio_strategies)
-    put_u64(key, static_cast<std::uint64_t>(s));
-  put_u64(key, copts.random_restarts);
-  put_u64(key, copts.custom_sequence.size());
-  for (const std::size_t s : copts.custom_sequence) put_u64(key, s);
+  put_options(key, copts);
   put_u64(key, skeleton.size());
   for (const qc::Gate& g : skeleton) {
     put_u64(key, static_cast<std::uint64_t>(g.kind));
@@ -152,6 +223,26 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
     put_u64(key, g.params.size());
     for (const double p : g.params) put_f64(key, p);
     put_matrix(key, g.custom);
+  }
+  return key;
+}
+
+std::string PlanCache::plan_key(int n, const std::vector<qc::Gate>& skeleton,
+                                const tn::ContractOptions& copts) {
+  // amplitude_network wires n input caps, one node per gate on its qubits'
+  // current edges, and n output caps: arity and qubits fix every edge and
+  // every dimension, and nothing else about a gate enters the topology.
+  std::string key;
+  key.reserve(64 + skeleton.size() * 24);
+  put_u64(key, static_cast<std::uint64_t>(n));
+  put_options(key, copts);
+  put_u64(key, skeleton.size());
+  for (const qc::Gate& g : skeleton) {
+    const int arity = g.num_qubits();
+    put_u64(key, static_cast<std::uint64_t>(arity));
+    for (int q = 0; q < arity; ++q)
+      put_u64(key, static_cast<std::uint64_t>(
+                       static_cast<std::int64_t>(g.qubits[static_cast<std::size_t>(q)])));
   }
   return key;
 }

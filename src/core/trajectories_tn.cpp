@@ -7,13 +7,18 @@
 #include <span>
 #include <string>
 
+#include "core/plan_cache.hpp"
+
 namespace noisim::core {
 
 namespace {
 
 // Skeleton gate list with one identity placeholder per noise site, plus the
 // per-site unitary mixtures. Built once per estimate and shared read-only by
-// all workers (each worker samples into its own copy of `gates`).
+// all workers (each worker samples into its own copy of `gates`). Each
+// placeholder has the arity, qubits and gate index of Algorithm 1's
+// placeholder for the same site (approx.cpp build_base), so both skeletons
+// share one PlanCache::plan_key and one compiled plan.
 struct TnSkeleton {
   std::vector<qc::Gate> gates;
   std::vector<std::size_t> site_gate_index;
@@ -99,22 +104,32 @@ double sample_once(const TnSkeleton& sk, std::vector<qc::Gate>& gates, int n,
 // Plan-replay machinery for the tensor-network backend: every sample shares
 // the skeleton's topology, so the contraction plan is compiled once and
 // replayed per trajectory with only the sampled site tensors substituted.
-// When `batch_capacity` > 1 a batched replay is compiled on top, executing
-// up to that many samples per plan traversal (chunk-at-a-time sampling);
-// if the batched arena exceeds the workspace budget the per-sample path
-// fits, the context silently falls back to sample-at-a-time replay, which
-// produces bit-identical estimates.
+// The template comes from the caller's PlanCache when one is passed (the
+// skeleton places each same-arity placeholder where Algorithm 1's skeleton
+// does, so a plan compiled for an Algorithm-1 estimate is reused), else from
+// a context-local one. When `batch_capacity` > 1 a batched replay is
+// compiled on top, executing up to that many samples per plan traversal
+// (chunk-at-a-time sampling); if the batched arena exceeds the workspace
+// budget the per-sample path fits, the context silently falls back to
+// sample-at-a-time replay, which produces bit-identical estimates.
 struct TnPlanContext {
-  AmplitudeTemplate tmpl;
+  PlanCache local{1};  // declared before entry, which may come from it
+  std::shared_ptr<const PlanCache::Entry> entry;
+  const AmplitudeTemplate& tmpl;
   std::vector<std::size_t> site_node;
   // Tensorized mixture unitaries per (site, mixture index) -- sampling then
   // allocates nothing per trajectory.
   std::vector<std::vector<tsr::Tensor>> site_tensors;
-  std::optional<tn::BatchedPlan> bplan;
+  std::shared_ptr<const tn::BatchedPlan> bplan;
 
   TnPlanContext(const ch::NoisyCircuit& nc, const TnSkeleton& sk, std::uint64_t psi_bits,
-                std::uint64_t v_bits, const EvalOptions& eval, std::size_t batch_capacity)
-      : tmpl(nc.num_qubits(), sk.gates, psi_bits, v_bits, /*conjugate=*/false, eval) {
+                std::uint64_t v_bits, const EvalOptions& eval, std::size_t batch_capacity,
+                PlanCache* cache)
+      : entry((cache ? *cache : local)
+                  .amplitude_template(nc.num_qubits(), sk.gates, psi_bits, v_bits,
+                                      /*conjugate=*/false,
+                                      resolved_eval_options(nc.num_qubits(), sk.gates, eval))),
+        tmpl(entry->tmpl()) {
     site_node.reserve(sk.mixtures.size());
     site_tensors.reserve(sk.mixtures.size());
     for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
@@ -133,7 +148,12 @@ struct TnPlanContext {
       for (std::size_t site = 0; site < sk.mixtures.size(); ++site)
         variant_counts[site] = sk.mixtures[site].unitaries.size();
       try {
-        bplan.emplace(tmpl.compile_batched(site_node, batch_capacity, nullptr, variant_counts));
+        bplan = entry->batched(
+            PlanCache::batched_key(site_node, batch_capacity, variant_counts,
+                                   static_cast<std::size_t>(-1), {}),
+            [&] {
+              return tmpl.compile_batched(site_node, batch_capacity, nullptr, variant_counts);
+            });
       } catch (const MemoryOutError&) {
         // Batch-aware workspace budget exceeded; per-sample replay still fits.
       }
@@ -217,7 +237,8 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
   std::vector<AmplitudeTemplate::Substitution> subs(sk.mixtures.size());
   std::vector<qc::Gate> gates;
   if (plan_replay_applies(eval, n)) {
-    ctx.emplace(nc, sk, psi_bits, v_bits, eval, std::min(kStreamBatch, samples));
+    ctx.emplace(nc, sk, psi_bits, v_bits, eval, std::min(kStreamBatch, samples),
+                /*cache=*/nullptr);
     if (!ctx->bplan) session.emplace(ctx->tmpl.session());
   } else {
     gates = sk.gates;
@@ -262,7 +283,7 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
-                                      const EvalOptions& eval) {
+                                      const EvalOptions& eval, PlanCache* plan_cache) {
   // Guard before the plan context: samples == 0 used to compile a
   // capacity-0 batched plan through std::min(chunk_size, samples).
   if (samples == 0) return {};
@@ -275,7 +296,7 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
     // evaluate through one batched traversal when the batched plan fits the
     // workspace budget; either way the estimate is bit-identical.
     const std::size_t cap = std::min(std::max<std::size_t>(popts.chunk_size, 1), samples);
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits, eval, cap);
+    const TnPlanContext ctx(nc, sk, psi_bits, v_bits, eval, cap, plan_cache);
     if (ctx.bplan) {
       auto make_sampler = [&](std::size_t) -> sim::ChunkSampler {
         auto session =
@@ -326,7 +347,8 @@ std::vector<sim::TrajectoryResult> trajectories_tn_outputs(
     // Template + per-site tensors (batch_capacity 1: the term-batched plan
     // of the single-output path is replaced by the output-batched plan
     // below). The template's caps are placeholders -- always substituted.
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1);
+    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1,
+                            /*cache=*/nullptr);
 
     // Shared read-only cap table: ptr identity drives row sharing across
     // bitstrings that agree on a qubit.
@@ -438,7 +460,8 @@ std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
 
   if (plan_replay_applies(eval, n)) {
     const std::size_t shard = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputBatch);
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1);
+    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1,
+                            /*cache=*/nullptr);
 
     std::vector<const tsr::Tensor*> caps_of_output(K * nn);
     for (std::size_t o = 0; o < K; ++o)

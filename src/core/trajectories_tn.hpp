@@ -20,6 +20,8 @@
 
 namespace noisim::core {
 
+class PlanCache;
+
 /// Estimate <v|E(|psi><psi|)|v> with `samples` TN trajectories. Throws
 /// LinalgError if any noise channel is not a mixture of unitaries or if a
 /// mixture's probabilities do not sum to 1 beyond roundoff (unnormalized
@@ -38,10 +40,15 @@ bool trajectories_tn_eligible(const ch::NoisyCircuit& nc);
 /// Multithreaded variant on the shared engine (sim/parallel.hpp): each
 /// worker owns a private copy of the sampled gate list, so no shared state
 /// is mutated; reproducible for a fixed `seed` across thread counts.
+/// `plan_cache` (optional) serves the plan-replay template: a plan compiled
+/// for the same skeleton by approx_cost_model / approximate_fidelity under
+/// the same resolved options is replayed, not recompiled. Results are
+/// bit-identical with or without it.
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
-                                      const EvalOptions& eval = {});
+                                      const EvalOptions& eval = {},
+                                      PlanCache* plan_cache = nullptr);
 
 /// Estimate <v_t|E(|psi><psi|)|v_t> for EVERY output bitstring in `v_bits`
 /// from ONE set of sampled trajectories: each trajectory draws its site

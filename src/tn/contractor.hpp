@@ -153,9 +153,10 @@ struct ContractStats {
   /// + write, and the final output materialization. Together with `flops`
   /// this records the arithmetic intensity of a run.
   std::size_t bytes_moved = 0;
-  /// Session-level plan-cache accounting (core::PlanCache): lookups served
-  /// from the cache vs lookups that had to compile a template or batched
-  /// plan. Zero when the sweep ran without a cache. Cached calls report
+  /// Session-level plan-cache accounting (core::PlanCache): template and
+  /// batched-plan lookups served without compiling vs lookups that had to
+  /// compile a plan or batched plan (a template built on a shared plan is
+  /// a hit). Zero when the sweep ran without a caller cache. Cached calls report
   /// plans_compiled == 0 alongside plan_cache_hits > 0, which is how the
   /// bench ladder verifies the recompilation actually disappeared.
   std::size_t plan_cache_hits = 0;

@@ -1,11 +1,14 @@
 // PlanCache coverage: keying (same skeleton hits, different ContractOptions
-// or slot layouts miss), LRU eviction, cache-on vs cache-off bit-identity,
-// stats surfacing (plan_cache_hits / plans_compiled), and race-freedom of a
-// cache shared by concurrent sweeps (exercised under the sanitizer jobs).
+// or slot layouts miss), the topology-keyed plan table (top/bottom layers,
+// other outputs and other gate matrices share one plan), LRU eviction,
+// cache-on vs cache-off bit-identity, stats surfacing (plan_cache_hits /
+// plans_compiled), and race-freedom of a cache shared by concurrent sweeps
+// (exercised under the sanitizer jobs).
 #include <gtest/gtest.h>
 
 #include <random>
 #include <thread>
+#include <variant>
 
 #include "bench_support/generators.hpp"
 #include "core/approx.hpp"
@@ -25,6 +28,26 @@ ch::NoisyCircuit workload(std::uint64_t seed, std::size_t noises = 3) {
                               bench::depolarizing_noise(0.01), seed);
 }
 
+// The same circuit with every gate angle shifted: equal topology, other
+// gate matrices.
+ch::NoisyCircuit shifted_angles(const ch::NoisyCircuit& nc, double delta) {
+  ch::NoisyCircuit out(nc.num_qubits());
+  for (const ch::Op& op : nc.ops()) {
+    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
+      qc::Gate shifted = *g;
+      for (double& p : shifted.params) p += delta;
+      out.add_gate(shifted);
+    } else {
+      const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
+      if (noise.num_qubits() == 1)
+        out.add_noise(noise.qubit, noise.channel);
+      else
+        out.add_noise_2q(noise.qubit, noise.qubit2, noise.channel);
+    }
+  }
+  return out;
+}
+
 std::vector<std::uint64_t> bitstrings(int n, std::size_t count, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   const std::uint64_t mask = (std::uint64_t{1} << n) - 1;
@@ -42,20 +65,24 @@ TEST(PlanCache, RepeatedCallsHitAndSkipRecompilation) {
   PlanCache cache;
   opts.plan_cache = &cache;
 
+  // Cold: the top template compiles the plan, the conjugated bottom
+  // template is served by it, and one batched plan serves both layers.
   const ApproxBatchResult first = approximate_fidelity_outputs(nc, 0, vb, opts);
-  EXPECT_EQ(first.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(first.contract_stats.plan_cache_misses, 4u);  // 2 templates + 2 batched
-  EXPECT_GT(first.contract_stats.plans_compiled, 0u);
+  EXPECT_EQ(first.contract_stats.plan_cache_hits, 1u);    // bottom template
+  EXPECT_EQ(first.contract_stats.plan_cache_misses, 2u);  // 1 plan + 1 batched
+  EXPECT_EQ(first.contract_stats.plans_compiled, 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.plans(), 1u);
 
   // A DIFFERENT bitstring set over the same skeleton: templates and batched
   // plans are topology-keyed, so everything hits and nothing recompiles.
   const std::vector<std::uint64_t> vb2 = bitstrings(16, 6, 2);
   const ApproxBatchResult second = approximate_fidelity_outputs(nc, 0, vb2, opts);
-  EXPECT_EQ(second.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(second.contract_stats.plan_cache_hits, 3u);
   EXPECT_EQ(second.contract_stats.plan_cache_misses, 0u);
   EXPECT_EQ(second.contract_stats.plans_compiled, 0u);
   EXPECT_EQ(cache.hits(), 4u);
-  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.misses(), 2u);
 
   // Cached results are bit-identical to cache-free results.
   ApproxOptions no_cache = opts;
@@ -80,22 +107,30 @@ TEST(PlanCache, SingleOutputSweepSharesTheCache) {
 
   const ApproxResult first = approximate_fidelity(nc, 0, 5, opts);
   const ApproxResult again = approximate_fidelity(nc, 0, 5, opts);
-  EXPECT_EQ(again.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(again.contract_stats.plan_cache_hits, 3u);  // 2 templates + 1 batched
   EXPECT_EQ(again.contract_stats.plans_compiled, 0u);
   EXPECT_EQ(first.raw, again.raw);
   EXPECT_EQ(first.level_values, again.level_values);
 
   // A different output bitstring changes the single-output template key
-  // (its caps are baked into the network), so templates miss.
+  // (its caps are baked into the network), so new templates are built --
+  // but the topology is unchanged, so the plan table serves their plan and
+  // its batched plan: nothing compiles.
   const ApproxResult other = approximate_fidelity(nc, 0, 6, opts);
-  EXPECT_EQ(other.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(other.contract_stats.plan_cache_misses, 4u);
+  EXPECT_EQ(other.contract_stats.plan_cache_hits, 3u);
+  EXPECT_EQ(other.contract_stats.plan_cache_misses, 0u);
+  EXPECT_EQ(other.contract_stats.plans_compiled, 0u);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.plans(), 1u);
 
   ApproxOptions no_cache = opts;
   no_cache.plan_cache = nullptr;
   const ApproxResult bare = approximate_fidelity(nc, 0, 5, no_cache);
   EXPECT_EQ(bare.raw, first.raw);
   EXPECT_EQ(bare.level_values, first.level_values);
+  const ApproxResult bare_other = approximate_fidelity(nc, 0, 6, no_cache);
+  EXPECT_EQ(bare_other.raw, other.raw);
+  EXPECT_EQ(bare_other.level_values, other.level_values);
 }
 
 TEST(PlanCache, DifferentContractOptionsMiss) {
@@ -109,13 +144,16 @@ TEST(PlanCache, DifferentContractOptionsMiss) {
   (void)approximate_fidelity_outputs(nc, 0, vb, opts);
   const std::size_t misses_after_first = cache.misses();
 
-  // Same skeleton, different planner options -> different template key.
+  // Same skeleton, different planner options -> different template and
+  // plan keys: the call compiles its own plan and batched plan.
   ApproxOptions other = opts;
   other.eval.tn.greedy_cost_weights = {1.0};
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, other);
-  EXPECT_EQ(r.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(cache.misses(), misses_after_first + 4);
-  EXPECT_EQ(cache.size(), 4u);  // two template entries per option set
+  EXPECT_EQ(r.contract_stats.plan_cache_misses, 2u);
+  EXPECT_EQ(r.contract_stats.plans_compiled, 2u);
+  EXPECT_EQ(cache.misses(), misses_after_first + 2);
+  EXPECT_EQ(cache.size(), 4u);   // two template entries per option set
+  EXPECT_EQ(cache.plans(), 2u);  // one plan per option set
 }
 
 TEST(PlanCache, PortfolioKnobsChangeTheTemplateKey) {
@@ -135,24 +173,24 @@ TEST(PlanCache, PortfolioKnobsChangeTheTemplateKey) {
   ApproxOptions off = opts;
   off.eval.tn.portfolio = false;
   const ApproxBatchResult r_off = approximate_fidelity_outputs(nc, 0, vb, off);
-  EXPECT_EQ(r_off.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(r_off.contract_stats.plan_cache_misses, 4u);
+  EXPECT_EQ(r_off.contract_stats.plan_cache_misses, 2u);  // own plan + batched
+  EXPECT_EQ(r_off.contract_stats.plans_compiled, 2u);
 
   // So do a narrower strategy subset and a different restart count.
   ApproxOptions subset = opts;
   subset.eval.tn.portfolio_strategies = {tn::OrderStrategy::Greedy};
   const ApproxBatchResult r_subset = approximate_fidelity_outputs(nc, 0, vb, subset);
-  EXPECT_EQ(r_subset.contract_stats.plan_cache_hits, 0u);
+  EXPECT_EQ(r_subset.contract_stats.plan_cache_misses, 2u);
 
   ApproxOptions restarts = opts;
   restarts.eval.tn.random_restarts = 2;
   const ApproxBatchResult r_restarts = approximate_fidelity_outputs(nc, 0, vb, restarts);
-  EXPECT_EQ(r_restarts.contract_stats.plan_cache_hits, 0u);
+  EXPECT_EQ(r_restarts.contract_stats.plan_cache_misses, 2u);
 
   // A warm repeat of the original options still hits everything and stays
   // bitwise-equal to a cache-free run with the portfolio on.
   const ApproxBatchResult warm = approximate_fidelity_outputs(nc, 0, vb, opts);
-  EXPECT_EQ(warm.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(warm.contract_stats.plan_cache_hits, 3u);
   EXPECT_EQ(warm.contract_stats.plans_compiled, 0u);
   ApproxOptions no_cache = opts;
   no_cache.plan_cache = nullptr;
@@ -174,14 +212,67 @@ TEST(PlanCache, DifferentSlotLayoutsMissOnBatchedPlansOnly) {
   (void)approximate_fidelity_outputs(nc, 0, vb, opts);
 
   // A level-2 ladder step over the same skeleton: the templates hit (the
-  // topology is unchanged) but the batched plans carry a different
-  // deviation bound / capacity, so they miss and compile fresh.
+  // topology is unchanged) but the batched plan carries a different
+  // deviation bound / capacity, so it misses and compiles fresh.
   ApproxOptions ladder = opts;
   ladder.level = 2;
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, ladder);
   EXPECT_EQ(r.contract_stats.plan_cache_hits, 2u);    // both templates
-  EXPECT_EQ(r.contract_stats.plan_cache_misses, 2u);  // both batched plans
+  EXPECT_EQ(r.contract_stats.plan_cache_misses, 1u);  // the shared batched plan
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PlanCache, TopAndBottomLayersShareOnePlanObject) {
+  const ch::NoisyCircuit nc = workload(617);
+  const std::vector<qc::Gate> gates = nc.gates_only().gates();
+  const EvalOptions eval = resolved_eval_options(16, gates, tn_eval());
+  PlanCache cache;
+  bool top_hit = true, bot_hit = false;
+  tn::ContractStats stats;
+  const auto top = cache.amplitude_template(16, gates, 0, 5, false, eval, &top_hit, &stats);
+  const auto bot = cache.amplitude_template(16, gates, 0, 5, true, eval, &bot_hit, &stats);
+  EXPECT_FALSE(top_hit);
+  EXPECT_TRUE(bot_hit);  // new network, shared plan: nothing compiled
+  EXPECT_EQ(stats.plans_compiled, 1u);
+  EXPECT_EQ(&top->tmpl().plan(), &bot->tmpl().plan());
+
+  // The shared plan is exactly what each layer would compile on its own.
+  const AmplitudeTemplate fresh_bot(16, gates, 0, 5, true, eval);
+  EXPECT_EQ(fresh_bot.compile_stats().plans_compiled, 1u);
+  EXPECT_EQ(top->tmpl().plan().fingerprint(), bot->tmpl().plan().fingerprint());
+  EXPECT_EQ(fresh_bot.plan().fingerprint(), bot->tmpl().plan().fingerprint());
+  const std::vector<AmplitudeTemplate::Substitution> none;
+  AmplitudeTemplate::Session shared = bot->tmpl().session();
+  AmplitudeTemplate::Session own = fresh_bot.session();
+  const cplx a = shared.evaluate(none), b = own.evaluate(none);
+  EXPECT_EQ(a.real(), b.real());
+  EXPECT_EQ(a.imag(), b.imag());
+}
+
+TEST(PlanCache, SameTopologyOtherGateParamsHitsThePlanTable) {
+  const ch::NoisyCircuit nc = workload(619);
+  const ch::NoisyCircuit shifted = shifted_angles(nc, 0.125);
+  ApproxOptions opts;
+  opts.level = 1;
+  opts.eval = tn_eval();
+  PlanCache cache;
+  opts.plan_cache = &cache;
+  (void)approximate_fidelity(nc, 0, 3, opts);
+
+  // Other gate matrices change every template key but not the topology:
+  // the plan and batched plan are reused, and the value is the cache-free
+  // value bit for bit.
+  const ApproxResult r = approximate_fidelity(shifted, 0, 3, opts);
+  EXPECT_EQ(r.contract_stats.plans_compiled, 0u);
+  EXPECT_EQ(r.contract_stats.plan_cache_misses, 0u);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.plans(), 1u);
+  ApproxOptions no_cache = opts;
+  no_cache.plan_cache = nullptr;
+  const ApproxResult bare = approximate_fidelity(shifted, 0, 3, no_cache);
+  EXPECT_EQ(bare.raw.real(), r.raw.real());
+  EXPECT_EQ(bare.raw.imag(), r.raw.imag());
+  EXPECT_EQ(bare.level_values, r.level_values);
 }
 
 TEST(PlanCache, LruEvictionPastMaxEntries) {
@@ -198,9 +289,11 @@ TEST(PlanCache, LruEvictionPastMaxEntries) {
   EXPECT_EQ(cache.size(), 2u);
   (void)approximate_fidelity_outputs(b, 0, vb, opts);  // evicts a's entries
   EXPECT_EQ(cache.size(), 2u);
+  // Recompiled after eviction: a's plan died with its templates.
   const ApproxBatchResult a2 = approximate_fidelity_outputs(a, 0, vb, opts);
-  EXPECT_EQ(a2.contract_stats.plan_cache_hits, 0u);  // recompiled after eviction
-  EXPECT_EQ(a2.contract_stats.plan_cache_misses, 4u);
+  EXPECT_EQ(a2.contract_stats.plan_cache_misses, 2u);
+  EXPECT_EQ(a2.contract_stats.plans_compiled, 2u);
+  EXPECT_EQ(cache.plans(), 1u);
   for (std::size_t o = 0; o < vb.size(); ++o) {
     EXPECT_EQ(a1.raw[o].real(), a2.raw[o].real());
     EXPECT_EQ(a1.raw[o].imag(), a2.raw[o].imag());
@@ -208,6 +301,7 @@ TEST(PlanCache, LruEvictionPastMaxEntries) {
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.plans(), 0u);
   EXPECT_GT(cache.misses(), 0u);  // counters survive clear()
 }
 
@@ -239,9 +333,10 @@ TEST(PlanCache, ConcurrentSweepsShareOneCacheRaceFree) {
       EXPECT_EQ(ref.raw[o].imag(), results[t].raw[o].imag()) << "thread " << t;
     }
   // Racing misses may both compile (by design), but the cache must end up
-  // with exactly the two template entries and every call fully served.
+  // with exactly the two template entries and every call fully served
+  // (2 template lookups + 1 batched lookup per call).
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_GE(cache.hits() + cache.misses(), 4u * kThreads);
+  EXPECT_GE(cache.hits() + cache.misses(), 3u * kThreads);
 }
 
 }  // namespace

@@ -243,9 +243,10 @@ TEST(BackendSelection, EstimationPrewarmsThePlanCacheForTheRun) {
   opts.plan_cache = &cache;
   const SimResult r = simulate(nc, 0, 0, opts);
   EXPECT_EQ(r.backend, BackendKind::TnApprox);
-  // The run fetched the top-layer template estimation compiled (the bottom
-  // conjugate layer and batched plans are still compiled at run time), so
-  // it plans strictly less than a cold direct invocation.
+  // The run fetched the top-layer template estimation compiled, and the
+  // conjugate bottom layer replays the same plan; only a batched plan (if
+  // the level has more than one term) is compiled at run time, so the run
+  // plans strictly less than a cold direct invocation.
   EXPECT_GT(cache.hits(), 0u);
   SimulateOptions uncached = opts;
   uncached.plan_cache = nullptr;
@@ -253,6 +254,33 @@ TEST(BackendSelection, EstimationPrewarmsThePlanCacheForTheRun) {
       approximate_fidelity(nc, 0, 0, tn_approx_options(uncached, r.config.level));
   EXPECT_LT(r.stats.plans_compiled, cold.contract_stats.plans_compiled);
   EXPECT_EQ(r.value, cold.value);
+}
+
+TEST(BackendSelection, TnTrajectoriesRunReplaysThePlanItsEstimateCompiled) {
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 601);
+  PlanCache cache;
+  SimulateOptions opts;
+  opts.error_budget = 5e-2;
+  // The deadline reaches the plan's replay timeout, which is part of the
+  // plan key: estimate and run must derive it the same way.
+  opts.deadline = 60.0;
+  opts.force_backend = BackendKind::TnTrajectories;
+  opts.plan_cache = &cache;
+  const SimResult r = simulate(nc, 0, 0, opts);
+  ASSERT_EQ(r.backend, BackendKind::TnTrajectories);
+  // Estimation compiled the plan for Algorithm 1's top layer; the run built
+  // its trajectory template (other placeholder matrices) on that same plan.
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.plans(), 1u);
+
+  sim::ParallelOptions popts;
+  popts.threads = opts.threads;
+  SimulateOptions uncached = opts;
+  uncached.plan_cache = nullptr;
+  const sim::TrajectoryResult direct = trajectories_tn(
+      nc, 0, 0, r.config.samples, opts.seed, popts, tn_approx_options(uncached, 0).eval);
+  EXPECT_EQ(r.value, direct.mean);
 }
 
 TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {

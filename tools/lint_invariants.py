@@ -34,6 +34,12 @@ exercised by --self-test):
                     carry // lint: not-guarded(<reason>) -- the audit
                     behind the Clang thread-safety annotations, enforced
                     even on GCC-only checkouts.
+  plan-compile-sites
+                    under src/core/, ContractionPlan::compile( appears
+                    only in core/plan_cache.cpp, the plan table's compile
+                    site -- every other consumer gets its plan from the
+                    table (or PlanCache::compile_plan), so no one
+                    recompiles a topology another template already shares.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -54,6 +60,7 @@ RULES = (
     "env-getenv",
     "claim-loop-polls",
     "mutex-guards",
+    "plan-compile-sites",
 )
 
 
@@ -432,6 +439,24 @@ def collect(root, fixture_mode):
     return cxx_files, cmake_texts
 
 
+PLAN_COMPILE_RE = re.compile(r"\bContractionPlan\s*::\s*compile\s*\(")
+
+
+def check_plan_compile_sites(cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        if path.parent.name != "core" or path.name == "plan_cache.cpp":
+            continue  # outside src/core/, or the sanctioned plan-table site
+        code = strip_code(text)
+        for m in PLAN_COMPILE_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "plan-compile-sites",
+                "ContractionPlan::compile outside the plan table; get the plan "
+                "from core::PlanCache (amplitude_template) or compile through "
+                "PlanCache::compile_plan so same-topology templates share it"))
+    return findings
+
+
 def run_rules(root, cxx_files, cmake_texts):
     findings = []
     findings += check_ffp_contract(root, cxx_files, cmake_texts)
@@ -440,6 +465,7 @@ def run_rules(root, cxx_files, cmake_texts):
     findings += check_env_getenv(cxx_files)
     findings += check_claim_loop_polls(cxx_files)
     findings += check_mutex_guards(cxx_files)
+    findings += check_plan_compile_sites(cxx_files)
     return findings
 
 
