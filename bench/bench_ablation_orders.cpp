@@ -17,13 +17,14 @@
 //      deeper hf_vqe / qaoa grids), or compiling at all where the pure
 //      greedy ladder memory-outs (the 4x5 supremacy grid).
 //
-// Plans are pure functions of topology + options, so the recorded flop
-// counts are machine-independent; --baseline <json> additionally gates
-// them for EXACT equality against the committed BENCH_orders.json (a
-// mismatch means plan selection drifted -- a determinism bug or an
-// unbaselined planner change). Plan wall times are reported and compared
-// informationally (same-CPU only), never gated: these are millisecond
-// compiles where timer noise dominates.
+// Plans are pure functions of topology + options, so the recorded plan
+// figures are machine-independent; --baseline <json> additionally gates
+// every committed workload for EXACT equality against BENCH_orders.json:
+// whether each plan compiles, its flops and peak, and the portfolio's
+// chosen strategy (a mismatch means plan selection drifted -- a
+// determinism bug or an unbaselined planner change). Plan wall times are
+// reported and compared informationally (same-CPU only), never gated:
+// these are millisecond compiles where timer noise dominates.
 //
 // Both plans replay to the same amplitude up to float reordering; the
 // bench checks agreement to 1e-6 relative as a schedule-sanity guard
@@ -64,29 +65,33 @@ struct OrderRun {
   bool value_agrees = true;
 };
 
-/// The number following `"<key>": ` inside the object for
-/// `"name": "<name>"` in `path`. Returns false when absent.
-bool baseline_field(const std::string& path, const std::string& name, const std::string& key,
-                    double* out) {
+std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return false;
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::size_t at = text.find("\"name\": \"" + name + "\"");
-  if (at == std::string::npos) return false;
-  const std::string key_tag = "\"" + key + "\": ";
-  at = text.find(key_tag, at);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + key_tag.size(), nullptr);
-  return true;
+  return buf.str();
 }
 
-std::string baseline_cpu_model(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+/// The raw value following `"<key>": ` inside the object for
+/// `"name": "<name>"` in a BENCH_orders.json text (a number, or a string
+/// without its quotes). Empty when the workload or the key is absent.
+std::optional<std::string> baseline_field(const std::string& text, const std::string& name,
+                                          const std::string& key) {
+  const std::size_t at = text.find("\"name\": \"" + name + "\"");
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t object_end = text.find("\"name\": \"", at + 1);
+  const std::string key_tag = "\"" + key + "\": ";
+  std::size_t value = text.find(key_tag, at);
+  if (value == std::string::npos || value > object_end) return std::nullopt;
+  value += key_tag.size();
+  if (text[value] == '"') {
+    const std::size_t close = text.find('"', value + 1);
+    return text.substr(value + 1, close - value - 1);
+  }
+  return text.substr(value, text.find_first_of(",}\n", value) - value);
+}
+
+std::string baseline_cpu_model(const std::string& text) {
   const std::string tag = "\"cpu_model\": \"";
   const std::size_t at = text.find(tag);
   if (at == std::string::npos) return "";
@@ -232,30 +237,58 @@ int main(int argc, char** argv) {
             << "grid the portfolio still compiles where pure greedy memory-outs.\n";
 
   // Baseline gate (CI): plan selection is a pure function of topology +
-  // options, so the flop counts must match the committed baseline EXACTLY
-  // on any machine. Plan times are informational (same-CPU note only).
+  // options, so every committed workload must reproduce EXACTLY on any
+  // machine: whether each plan compiles, its flops and peak, and the
+  // portfolio's chosen strategy (two plans can tie on flops). A committed
+  // plan that no longer compiles is drift too -- that is how a lost
+  // feasibility win (greedy MO, portfolio compiles) shows. Plan times are
+  // informational (same-CPU note only).
   bool baseline_ok = true;
   bool values_ok = true;
   if (!baseline_path.empty()) {
-    const std::string base_cpu = baseline_cpu_model(baseline_path);
+    const std::string baseline = read_file(baseline_path);
+    if (baseline.empty()) {
+      std::cout << "cannot read baseline " << baseline_path << "\n";
+      baseline_ok = false;
+    }
+    const std::string base_cpu = baseline_cpu_model(baseline);
     const bool same_machine = base_cpu == bench::cpu_model();
     if (!same_machine)
       std::cout << "baseline recorded on \"" << base_cpu
                 << "\" (different CPU) -- plan-time comparison informational only\n";
+    const auto str = [](bool b) -> std::string { return b ? "true" : "false"; };
     for (const OrderRun& r : runs) {
-      double base_flops = 0.0;
-      if (!r.portfolio_ok || !baseline_field(baseline_path, r.name, "portfolio_flops", &base_flops))
+      if (!baseline_field(baseline, r.name, "portfolio_ok")) {
+        std::cout << "baseline " << r.name << ": not in the committed file (ungated)\n";
         continue;
-      const bool drifted =
-          static_cast<double>(r.portfolio_flops) != base_flops;
-      std::cout << "baseline " << r.name << ": portfolio flops " << r.portfolio_flops
-                << " vs committed " << static_cast<std::size_t>(base_flops)
-                << (drifted ? "  DRIFT (plan selection changed)" : "  ok") << "\n";
+      }
+      std::vector<std::pair<std::string, std::string>> fields = {
+          {"greedy_ok", str(r.greedy_ok)},
+          {"greedy_flops", std::to_string(r.greedy_flops)},
+          {"greedy_peak_elems", std::to_string(r.greedy_peak)},
+          {"portfolio_ok", str(r.portfolio_ok)},
+          {"portfolio_flops", std::to_string(r.portfolio_flops)},
+          {"portfolio_peak_elems", std::to_string(r.portfolio_peak)},
+      };
+      // A plan that does not compile has no chosen strategy.
+      if (r.portfolio_ok) fields.emplace_back("chosen_strategy", tn::order_strategy_name(r.chosen));
+      bool drifted = false;
+      for (const auto& [key, now] : fields) {
+        const std::string committed = baseline_field(baseline, r.name, key).value_or("?");
+        if (committed == now) continue;
+        drifted = true;
+        std::cout << "baseline " << r.name << ": " << key << " " << now << " vs committed "
+                  << committed << "  DRIFT (plan selection changed)\n";
+      }
+      if (!drifted)
+        std::cout << "baseline " << r.name << ": portfolio " << r.portfolio_flops
+                  << " flops, peak " << r.portfolio_peak << ", "
+                  << tn::order_strategy_name(r.chosen) << "  ok\n";
       baseline_ok = baseline_ok && !drifted;
       double base_seconds = 0.0;
-      if (same_machine &&
-          baseline_field(baseline_path, r.name, "portfolio_plan_seconds", &base_seconds) &&
-          base_seconds > 0.0)
+      if (const auto s = baseline_field(baseline, r.name, "portfolio_plan_seconds"))
+        base_seconds = std::strtod(s->c_str(), nullptr);
+      if (same_machine && base_seconds > 0.0)
         std::cout << "         " << r.name << ": portfolio plan time "
                   << bench::sci(r.portfolio_plan_seconds) << "s vs committed "
                   << bench::sci(base_seconds) << "s (informational)\n";
@@ -277,7 +310,8 @@ int main(int argc, char** argv) {
         << ", \"portfolio_flops\": " << r.portfolio_flops
         << ",\n     \"greedy_peak_elems\": " << r.greedy_peak
         << ", \"portfolio_peak_elems\": " << r.portfolio_peak
-        << ", \"chosen_strategy\": \"" << tn::order_strategy_name(r.chosen) << "\""
+        << ", \"chosen_strategy\": \""
+        << (r.portfolio_ok ? tn::order_strategy_name(r.chosen) : "-") << "\""
         << ",\n     \"greedy_plan_seconds\": " << bench::sci(r.greedy_plan_seconds)
         << ", \"portfolio_plan_seconds\": " << bench::sci(r.portfolio_plan_seconds)
         << ", \"value_agrees\": " << (r.value_agrees ? "true" : "false")
@@ -294,6 +328,6 @@ int main(int argc, char** argv) {
                  "      greedy MO was expected on at least one workload)\n";
   if (!values_ok) std::cout << "FAIL: greedy and portfolio plans disagree on an amplitude\n";
   if (!baseline_ok)
-    std::cout << "FAIL: portfolio flop counts drifted from the committed baseline\n";
+    std::cout << "FAIL: plans drifted from the committed baseline (or no longer compile)\n";
   return cheapest_ok && strict_win && values_ok && baseline_ok ? 0 : 1;
 }

@@ -56,27 +56,25 @@ std::string stats_json(const tn::ContractStats& stats) {
                                   stats.elapsed_seconds / 1e9
                             : 0.0;
   out += ", \"effective_gflops\": " + sci(gflops);
-  // Portfolio accounting: per-strategy win counts and summed best-candidate
-  // flop estimates, keyed by strategy name (zero-only strategies omitted).
-  out += ", \"strategy_chosen\": {";
-  bool first = true;
-  for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
-    if (stats.strategy_chosen[s] == 0) continue;
-    out += std::string(first ? "" : ", ") + "\"" +
-           tn::order_strategy_name(static_cast<tn::OrderStrategy>(s)) +
-           "\": " + std::to_string(stats.strategy_chosen[s]);
-    first = false;
-  }
-  out += "}, \"strategy_flops\": {";
-  first = true;
-  for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
-    if (stats.strategy_flops[s] == 0) continue;
-    out += std::string(first ? "" : ", ") + "\"" +
-           tn::order_strategy_name(static_cast<tn::OrderStrategy>(s)) +
-           "\": " + std::to_string(stats.strategy_flops[s]);
-    first = false;
-  }
-  out += "}";
+  // Portfolio accounting: per-strategy win counts, summed best completed
+  // candidate flops and incumbent-pruned candidates, keyed by strategy name
+  // (zero-only strategies omitted).
+  const auto per_strategy = [&out](const char* key,
+                                   const std::array<std::size_t, tn::kNumOrderStrategies>& v) {
+    out += std::string(", \"") + key + "\": {";
+    bool first = true;
+    for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
+      if (v[s] == 0) continue;
+      out += std::string(first ? "" : ", ") + "\"" +
+             tn::order_strategy_name(static_cast<tn::OrderStrategy>(s)) +
+             "\": " + std::to_string(v[s]);
+      first = false;
+    }
+    out += "}";
+  };
+  per_strategy("strategy_chosen", stats.strategy_chosen);
+  per_strategy("strategy_flops", stats.strategy_flops);
+  per_strategy("strategy_pruned", stats.strategy_pruned);
   out += "}";
   return out;
 }

@@ -99,17 +99,22 @@ struct ContractOptions {
   /// weight * (size_a + size_b)); the cheapest schedule by total flops
   /// wins, earlier entries winning ties -- weight 1.0 (the classic
   /// opt_einsum heuristic) leads so a different schedule is only chosen
-  /// when strictly cheaper. Every entry multiplies one-shot planning cost,
-  /// so the default stays at two; callers that compile once and replay
-  /// many times can afford a deeper ladder. Must be non-empty for
-  /// Greedy/Auto.
+  /// when strictly cheaper. Every entry adds one greedy search pass (a
+  /// bookkeeping-only pass, stopped early once its flops exceed the
+  /// cheapest schedule already found), so the default stays at two;
+  /// callers that compile once and replay many times can afford a deeper
+  /// ladder. Must be non-empty for Greedy/Auto.
   std::vector<double> greedy_cost_weights{1.0, 4.0};
   /// Auto runs a portfolio search over `portfolio_strategies` (sharing the
   /// one planning deadline above) and keeps the schedule with minimum total
   /// flops, ties broken by peak intermediate and then by enumeration order
   /// -- selection is a pure function of topology + these options, never of
   /// wall clock or attempt timing, so cached plans and fresh compiles
-  /// always agree. Off restores the pre-portfolio Auto (Greedy with a
+  /// always agree. Candidates are searched on shapes alone and stopped as
+  /// soon as their running flop sum exceeds the cheapest complete schedule
+  /// found so far (they could never be kept, so the choice is the same as
+  /// evaluating every candidate in full); only the winner is built into
+  /// PlanSteps. Off restores the pre-portfolio Auto (Greedy with a
   /// Sequential fallback on memory-out). Direct strategies ignore it.
   bool portfolio = true;
   /// Strategy subset the Auto portfolio tries, in tie-break order. Entries
@@ -172,14 +177,22 @@ struct ContractStats {
   std::size_t kernels_avx2 = 0;
   std::size_t kernels_avx512 = 0;
   /// Portfolio accounting, indexed by static_cast<std::size_t>(strategy):
-  /// compiles whose winning schedule came from each strategy, and the
-  /// summed flop estimate of each strategy's best candidate schedule per
-  /// compile (0 while a strategy never produced a feasible schedule --
-  /// skipped, memory-out, or not in the portfolio subset). Together they
-  /// record which orders actually win and by how much, which is what
-  /// bench_ablation_orders gates on.
+  ///  * strategy_chosen: compiles whose winning schedule came from each
+  ///    strategy;
+  ///  * strategy_flops: the summed flop count of each strategy's best
+  ///    COMPLETED candidate per compile. Whenever it is recorded it equals
+  ///    the strategy's best feasible schedule; 0 while a strategy never
+  ///    completed one -- memory-out, not in the portfolio subset, or every
+  ///    candidate pruned;
+  ///  * strategy_pruned: candidates stopped early because their running
+  ///    flop sum already exceeded the cheapest complete schedule of the
+  ///    same compile (they could never have been kept).
+  /// Together they record which orders actually win, by how much, and how
+  /// much search the incumbent bound saved; bench_ablation_orders reports
+  /// them.
   std::array<std::size_t, kNumOrderStrategies> strategy_chosen{};
   std::array<std::size_t, kNumOrderStrategies> strategy_flops{};
+  std::array<std::size_t, kNumOrderStrategies> strategy_pruned{};
 
   /// Fold another record into this one (counters add, peaks max) -- used
   /// to aggregate per-worker stats deterministically.
@@ -200,6 +213,7 @@ struct ContractStats {
     for (std::size_t s = 0; s < kNumOrderStrategies; ++s) {
       strategy_chosen[s] += o.strategy_chosen[s];
       strategy_flops[s] += o.strategy_flops[s];
+      strategy_pruned[s] += o.strategy_pruned[s];
     }
   }
 };

@@ -1,11 +1,12 @@
 #include "tn/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 
 #include "tensor/contract.hpp"
 
@@ -133,30 +134,78 @@ class DedupTable {
   std::size_t mask_ = 0;
 };
 
+/// Internal signal of ContractionPlan::compile: a search pass's running
+/// flop sum exceeded the incumbent's total, so it can never be kept.
+struct Pruned {};
+
 }  // namespace
 
-/// Shape-and-edge-only replica of the contractor's working state: merges
-/// emit PlanSteps instead of performing arithmetic. The pairwise order,
-/// tie-breaking, and budget checks mirror the eager contractor exactly, so
-/// a compiled plan replays to bit-identical results.
+/// Shape-and-edge-only replica of the contractor's working state, in one
+/// of two modes over the same bookkeeping:
+///  * a SEARCH pass (one per candidate order) tracks shapes, the arena
+///    layout, flops and peak -- enough to rank candidates and to enforce
+///    both memory budgets exactly -- and records its merge pairs;
+///  * the BUILD pass replays the winning merge pairs and additionally emits
+///    the PlanSteps (permutation walks, strides) and the bytes model.
+/// The pairwise order, tie-breaking, and budget checks mirror the eager
+/// contractor exactly, so a compiled plan replays to bit-identical results.
 struct PlanCompiler {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// One tensor axis: the edge it carries and its dimension.
+  struct Leg {
+    EdgeId edge;
+    std::size_t dim;
+  };
+  /// A node's axes are legs[begin, begin + rank) of the pass's leg pool.
   struct MetaNode {
-    std::vector<EdgeId> edges;
-    std::vector<std::size_t> dims;
+    std::size_t begin = 0, rank = 0;
     std::size_t elems = 1;
+  };
+  /// Input state, built once per compile() and copied into every pass.
+  /// Network allows at most two endpoints per edge, so the edge table is a
+  /// flat EdgeId -> {node, node} array (kNone marks a missing endpoint).
+  struct Seed {
+    std::vector<MetaNode> nodes;
+    std::vector<Leg> legs;
+    std::vector<std::array<std::size_t, 2>> edge_nodes;
+
+    explicit Seed(const Network& net) {
+      std::size_t num_edges = 0;
+      for (const Node& node : net.nodes())
+        for (EdgeId e : node.edges) num_edges = std::max(num_edges, e + 1);
+      edge_nodes.assign(num_edges, {kNone, kNone});
+      nodes.reserve(net.num_nodes());
+      for (std::size_t i = 0; i < net.num_nodes(); ++i) {
+        const Node& node = net.node(i);
+        nodes.push_back(MetaNode{legs.size(), node.edges.size(), node.tensor.size()});
+        for (std::size_t ax = 0; ax < node.edges.size(); ++ax) {
+          const EdgeId e = node.edges[ax];
+          legs.push_back(Leg{e, node.tensor.dim(ax)});
+          edge_nodes[e][edge_nodes[e][0] == kNone ? 0 : 1] = i;
+        }
+      }
+    }
   };
 
   const ContractOptions& opts;
+  const bool build;             // emit PlanSteps (the winner's replay) or search only
+  const std::size_t incumbent;  // a search pass stops once its flops exceed this
+  const std::size_t num_inputs;
   std::vector<MetaNode> nodes;  // indexed by slot
-  std::vector<bool> alive;
-  std::unordered_map<EdgeId, std::vector<std::size_t>> edge_nodes;
-  std::size_t num_inputs = 0;
-
-  std::vector<PlanStep> steps;
-  ArenaLayout arena;
+  std::vector<Leg> legs;
+  std::vector<char> alive;
+  std::vector<std::array<std::size_t, 2>> edge_nodes;
   std::vector<std::size_t> slot_offset;  // arena offset (intermediates only)
+  std::vector<std::size_t> neighbor_scratch;
+
+  ArenaLayout arena;
   std::size_t peak = 0;
-  std::size_t flops = 0;  // sum of m*k*n over all steps (schedule cost)
+  std::size_t flops = 0;  // sum of m*k*n over all merges (schedule cost)
+  std::vector<std::pair<std::size_t, std::size_t>> merges;  // search passes
+
+  // Build pass only.
+  std::vector<PlanStep> steps;
   std::size_t bytes = 0;  // modeled memory traffic of one replay
   std::size_t scratch_a = 0, scratch_b = 0;
   std::size_t max_rank = 0;
@@ -164,24 +213,30 @@ struct PlanCompiler {
   Clock::time_point deadline{};
   bool has_deadline = false;
 
-  // `deadline` is shared by every planning attempt of one compile() call
-  // (all greedy cost weights plus the Auto fallback), so timeout_seconds
-  // bounds total planning time, not each attempt.
-  PlanCompiler(const Network& net, const ContractOptions& o, Clock::time_point shared_deadline,
-               bool deadline_set)
-      : opts(o), deadline(shared_deadline), has_deadline(deadline_set) {
-    num_inputs = net.num_nodes();
-    nodes.reserve(num_inputs);
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      MetaNode mn;
-      mn.edges = net.node(i).edges;
-      mn.dims.assign(net.node(i).tensor.shape().begin(), net.node(i).tensor.shape().end());
-      mn.elems = net.node(i).tensor.size();
-      for (EdgeId e : mn.edges) edge_nodes[e].push_back(i);
-      nodes.push_back(std::move(mn));
-      alive.push_back(true);
-      slot_offset.push_back(0);
-    }
+  // `deadline` is shared by every pass of one compile() call (all
+  // candidates plus the winner's build), so timeout_seconds bounds total
+  // planning time, not each pass.
+  PlanCompiler(const Seed& seed, const ContractOptions& o, Clock::time_point shared_deadline,
+               bool deadline_set, bool build_plan, std::size_t incumbent_flops = kNone)
+      : opts(o),
+        build(build_plan),
+        incumbent(incumbent_flops),
+        num_inputs(seed.nodes.size()),
+        legs(seed.legs),
+        edge_nodes(seed.edge_nodes),
+        deadline(shared_deadline),
+        has_deadline(deadline_set) {
+    // A full schedule creates num_inputs - 1 intermediates.
+    nodes.reserve(2 * num_inputs);
+    nodes.assign(seed.nodes.begin(), seed.nodes.end());
+    alive.reserve(2 * num_inputs);
+    alive.assign(num_inputs, 1);
+    slot_offset.reserve(2 * num_inputs);
+    slot_offset.assign(num_inputs, 0);
+    if (build)
+      steps.reserve(num_inputs);
+    else
+      merges.reserve(num_inputs);
   }
 
   void check_deadline() const {
@@ -190,22 +245,25 @@ struct PlanCompiler {
       throw TimeoutError("tensor network contraction exceeded deadline");
   }
 
+  /// The node at the other end of edge `e` from `node` (kNone if open).
+  std::size_t other_end(EdgeId e, std::size_t node) const {
+    const std::array<std::size_t, 2>& ends = edge_nodes[e];
+    return ends[0] == node ? ends[1] : ends[0];
+  }
+
   bool connected(std::size_t u, std::size_t v) const {
-    for (EdgeId e : nodes[u].edges)
-      if (std::find(nodes[v].edges.begin(), nodes[v].edges.end(), e) != nodes[v].edges.end())
-        return true;
+    for (std::size_t ax = 0; ax < nodes[u].rank; ++ax)
+      if (other_end(legs[nodes[u].begin + ax].edge, u) == v) return true;
     return false;
   }
 
-  /// Product of the dims shared between u and v (edge lists are tiny, so a
-  /// linear scan beats hashing; this is the memoization-friendly scorer --
-  /// only pairs adjacent to a merge are ever (re)scored).
+  /// Product of the dims shared between u and v (only pairs adjacent to a
+  /// merge are ever (re)scored).
   std::size_t shared_dims(std::size_t u, std::size_t v) const {
     std::size_t prod = 1;
-    for (std::size_t ax = 0; ax < nodes[u].edges.size(); ++ax) {
-      const EdgeId e = nodes[u].edges[ax];
-      if (std::find(nodes[v].edges.begin(), nodes[v].edges.end(), e) != nodes[v].edges.end())
-        prod *= nodes[u].dims[ax];
+    for (std::size_t ax = 0; ax < nodes[u].rank; ++ax) {
+      const Leg& leg = legs[nodes[u].begin + ax];
+      if (other_end(leg.edge, u) == v) prod *= leg.dim;
     }
     return prod;
   }
@@ -215,13 +273,14 @@ struct PlanCompiler {
     return (nodes[u].elems / shared) * (nodes[v].elems / shared);
   }
 
-  std::vector<std::size_t> neighbors(std::size_t i) const {
-    std::vector<std::size_t> out;
-    for (EdgeId e : nodes[i].edges) {
-      const auto it = edge_nodes.find(e);
-      if (it == edge_nodes.end()) continue;
-      for (std::size_t n : it->second)
-        if (n != i && alive[n]) out.push_back(n);
+  /// Live neighbors of slot i, ascending. The result lives in a scratch
+  /// buffer reused by the next call.
+  const std::vector<std::size_t>& neighbors(std::size_t i) {
+    std::vector<std::size_t>& out = neighbor_scratch;
+    out.clear();
+    for (std::size_t ax = 0; ax < nodes[i].rank; ++ax) {
+      const std::size_t nb = other_end(legs[nodes[i].begin + ax].edge, i);
+      if (nb != kNone) out.push_back(nb);
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -235,65 +294,128 @@ struct PlanCompiler {
     return out;
   }
 
+  std::vector<std::size_t> dims_of(const MetaNode& node) const {
+    std::vector<std::size_t> dims(node.rank);
+    for (std::size_t ax = 0; ax < node.rank; ++ax) dims[ax] = legs[node.begin + ax].dim;
+    return dims;
+  }
+
   /// Plan the contraction of slots u and v; returns the new slot index.
   std::size_t merge(std::size_t u, std::size_t v) {
     check_deadline();
-    const MetaNode& nu = nodes[u];
-    const MetaNode& nv = nodes[v];
+    const MetaNode nu = nodes[u];
+    const MetaNode nv = nodes[v];
 
-    // Shared edges in u-axis order; v axes located per shared edge -- the
-    // same pairing the eager contractor fed to tsr::contract.
-    std::vector<std::size_t> axes_u, axes_v, free_a, free_b;
-    for (std::size_t ax = 0; ax < nu.edges.size(); ++ax) {
-      const auto it = std::find(nv.edges.begin(), nv.edges.end(), nu.edges[ax]);
-      if (it != nv.edges.end()) {
-        axes_u.push_back(ax);
-        axes_v.push_back(static_cast<std::size_t>(it - nv.edges.begin()));
+    // The merged node keeps u's free axes, then v's, in axis order.
+    MetaNode merged;
+    merged.begin = legs.size();
+    std::size_t m = 1, k = 1, n = 1;
+    for (std::size_t ax = 0; ax < nu.rank; ++ax) {
+      const Leg leg = legs[nu.begin + ax];
+      if (other_end(leg.edge, u) == v) {
+        k *= leg.dim;
       } else {
-        free_a.push_back(ax);
+        m *= leg.dim;
+        legs.push_back(leg);
       }
     }
-    for (std::size_t ax = 0; ax < nv.edges.size(); ++ax)
-      if (std::find(axes_v.begin(), axes_v.end(), ax) == axes_v.end()) free_b.push_back(ax);
+    for (std::size_t ax = 0; ax < nv.rank; ++ax) {
+      const Leg leg = legs[nv.begin + ax];
+      if (other_end(leg.edge, v) != u) {
+        n *= leg.dim;
+        legs.push_back(leg);
+      }
+    }
+    merged.rank = legs.size() - merged.begin;
+    merged.elems = m * n;
+
+    if (merged.elems > opts.max_tensor_elems)
+      throw MemoryOutError("tensor network contraction exceeded memory budget (intermediate of " +
+                           std::to_string(merged.elems) + " elements)");
+
+    // Arena: the output region is claimed while both operands are still
+    // live (no overlap), then consumed operand regions are recycled.
+    const std::size_t out_offset = arena.alloc(merged.elems);
+    if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
+      throw MemoryOutError("contraction plan workspace exceeded budget (arena of " +
+                           std::to_string(arena.high_water()) + " elements)");
+    if (u >= num_inputs) arena.release(slot_offset[u], nu.elems);
+    if (v >= num_inputs) arena.release(slot_offset[v], nv.elems);
+
+    peak = std::max(peak, merged.elems);
+    flops += m * k * n;
+    if (build) {
+      emit_step(u, v, nu, nv, m, k, n, out_offset);
+    } else {
+      if (flops > incumbent) throw Pruned{};
+      merges.emplace_back(u, v);
+    }
+
+    // Edge table: u's and v's free edges now end at the merged slot; their
+    // shared edges are contracted away.
+    const std::size_t idx = nodes.size();
+    for (std::size_t ax = 0; ax < nu.rank; ++ax) {
+      std::array<std::size_t, 2>& ends = edge_nodes[legs[nu.begin + ax].edge];
+      if (ends[0] == v || ends[1] == v)
+        ends = {kNone, kNone};
+      else
+        ends[ends[0] == u ? 0 : 1] = idx;
+    }
+    for (std::size_t ax = 0; ax < nv.rank; ++ax) {
+      std::array<std::size_t, 2>& ends = edge_nodes[legs[nv.begin + ax].edge];
+      if (ends[0] == v) ends[0] = idx;
+      if (ends[1] == v) ends[1] = idx;
+    }
+
+    alive[u] = alive[v] = 0;
+    nodes.push_back(merged);
+    alive.push_back(1);
+    slot_offset.push_back(out_offset);
+    return idx;
+  }
+
+  /// Build pass: the PlanStep merging u and v, emitted before the edge
+  /// table forgets their shared edges.
+  void emit_step(std::size_t u, std::size_t v, const MetaNode& nu, const MetaNode& nv,
+                 std::size_t m, std::size_t k, std::size_t n, std::size_t out_offset) {
+    // Operand permutations: lhs to [free..., contracted...], rhs to
+    // [contracted..., free...], shared edges in u-axis order with the v axis
+    // located per shared edge -- the same pairing the eager contractor fed
+    // to tsr::contract. Identity permutations are recorded as in-place
+    // reads (no scratch, no copy at execution).
+    std::vector<std::size_t> perm_a, axes_u, perm_b;
+    for (std::size_t ax = 0; ax < nu.rank; ++ax) {
+      const EdgeId e = legs[nu.begin + ax].edge;
+      if (other_end(e, u) != v) {
+        perm_a.push_back(ax);
+        continue;
+      }
+      axes_u.push_back(ax);
+      std::size_t bx = 0;
+      while (legs[nv.begin + bx].edge != e) ++bx;
+      perm_b.push_back(bx);
+    }
+    perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
+    for (std::size_t ax = 0; ax < nv.rank; ++ax)
+      if (other_end(legs[nv.begin + ax].edge, v) != u) perm_b.push_back(ax);
 
     PlanStep step;
     step.lhs = u;
     step.rhs = v;
     step.a_elems = nu.elems;
     step.b_elems = nv.elems;
-
-    MetaNode merged;
-    for (std::size_t ax : free_a) {
-      step.m *= nu.dims[ax];
-      merged.edges.push_back(nu.edges[ax]);
-      merged.dims.push_back(nu.dims[ax]);
-    }
-    for (std::size_t ax : axes_u) step.k *= nu.dims[ax];
-    for (std::size_t ax : free_b) {
-      step.n *= nv.dims[ax];
-      merged.edges.push_back(nv.edges[ax]);
-      merged.dims.push_back(nv.dims[ax]);
-    }
-    merged.elems = step.m * step.n;
-    step.out_elems = merged.elems;
-
-    if (step.out_elems > opts.max_tensor_elems)
-      throw MemoryOutError("tensor network contraction exceeded memory budget (intermediate of " +
-                           std::to_string(step.out_elems) + " elements)");
-
-    // Operand permutations: lhs to [free..., contracted...], rhs to
-    // [contracted..., free...]. Identity permutations are recorded as
-    // in-place reads (no scratch, no copy at execution).
-    std::vector<std::size_t> perm_a = free_a;
-    perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
-    std::vector<std::size_t> perm_b = axes_v;
-    perm_b.insert(perm_b.end(), free_b.begin(), free_b.end());
+    step.m = m;
+    step.k = k;
+    step.n = n;
+    step.out_offset = out_offset;
+    step.out_elems = m * n;
 
     step.identity_a = tsr::is_identity_permutation(perm_a);
     if (!step.identity_a) {
-      const std::vector<std::size_t> strides = tsr::row_major_strides(nu.dims);
+      const std::vector<std::size_t> dims = dims_of(nu);
+      const std::vector<std::size_t> strides = tsr::row_major_strides(dims);
       for (std::size_t p : perm_a) {
-        step.a_perm_shape.push_back(nu.dims[p]);
+        step.a_perm_shape.push_back(dims[p]);
         step.a_src_stride.push_back(strides[p]);
       }
       scratch_a = std::max(scratch_a, nu.elems);
@@ -301,47 +423,21 @@ struct PlanCompiler {
     }
     step.identity_b = tsr::is_identity_permutation(perm_b);
     if (!step.identity_b) {
-      const std::vector<std::size_t> strides = tsr::row_major_strides(nv.dims);
+      const std::vector<std::size_t> dims = dims_of(nv);
+      const std::vector<std::size_t> strides = tsr::row_major_strides(dims);
       for (std::size_t p : perm_b) {
-        step.b_perm_shape.push_back(nv.dims[p]);
+        step.b_perm_shape.push_back(dims[p]);
         step.b_src_stride.push_back(strides[p]);
       }
       scratch_b = std::max(scratch_b, nv.elems);
       max_rank = std::max(max_rank, perm_b.size());
     }
 
-    // Arena: the output region is claimed while both operands are still
-    // live (no overlap), then consumed operand regions are recycled.
-    step.out_offset = arena.alloc(step.out_elems);
-    if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
-      throw MemoryOutError("contraction plan workspace exceeded budget (arena of " +
-                           std::to_string(arena.high_water()) + " elements)");
-    if (u >= num_inputs) arena.release(slot_offset[u], nodes[u].elems);
-    if (v >= num_inputs) arena.release(slot_offset[v], nodes[v].elems);
-
-    peak = std::max(peak, step.out_elems);
-    flops += step.m * step.k * step.n;
     // Traffic model: operand reads (plus a read+write permutation copy when
     // not identity), output zero-fill + accumulate write.
     bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
                              step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
-
-    alive[u] = alive[v] = false;
-    const std::size_t idx = nodes.size();
-    for (EdgeId e : merged.edges) {
-      auto& owners = edge_nodes[e];
-      owners.erase(std::remove_if(owners.begin(), owners.end(),
-                                  [&](std::size_t n) { return n == u || n == v; }),
-                   owners.end());
-      owners.push_back(idx);
-    }
-    for (std::size_t ax : axes_u) edge_nodes.erase(nu.edges[ax]);
-
-    slot_offset.push_back(step.out_offset);
-    nodes.push_back(std::move(merged));
-    alive.push_back(true);
     steps.push_back(std::move(step));
-    return idx;
   }
 
   /// Greedy ordering with score = result - alpha * (size_a + size_b).
@@ -486,10 +582,12 @@ struct PlanCompiler {
     merge(facc, bacc);
   }
 
+
   ContractionPlan finalize(const Network& net) {
     const std::vector<std::size_t> rest = alive_nodes();
     la::detail::require(rest.size() == 1, "contract plan: network did not reduce to one node");
     const MetaNode& result = nodes[rest[0]];
+    const std::vector<std::size_t> dims = dims_of(result);
 
     ContractionPlan plan;
     plan.steps_ = std::move(steps);
@@ -501,25 +599,26 @@ struct PlanCompiler {
     plan.peak_elems_ = peak;
     plan.total_flops_ = flops;
     std::size_t out_total = 1;
-    for (std::size_t d : result.dims) out_total *= d;
+    for (std::size_t d : dims) out_total *= d;
     plan.total_bytes_ = bytes + sizeof(cplx) * 2 * out_total;  // final materialization
     plan.timeout_seconds_ = opts.timeout_seconds;
     plan.executions_ = std::make_shared<std::atomic<std::size_t>>(0);
 
     // Deterministic output: axes in ascending open-edge order.
     const std::vector<EdgeId> open = net.open_edges();
-    la::detail::require(open.size() == result.edges.size(),
+    la::detail::require(open.size() == result.rank,
                         "contract plan: open edge bookkeeping mismatch");
     std::vector<std::size_t> perm(open.size());
     for (std::size_t i = 0; i < open.size(); ++i) {
-      const auto it = std::find(result.edges.begin(), result.edges.end(), open[i]);
-      la::detail::require(it != result.edges.end(), "contract plan: open edge missing");
-      perm[i] = static_cast<std::size_t>(it - result.edges.begin());
+      std::size_t ax = 0;
+      while (ax < result.rank && legs[result.begin + ax].edge != open[i]) ++ax;
+      la::detail::require(ax < result.rank, "contract plan: open edge missing");
+      perm[i] = ax;
     }
     plan.output_identity_ = tsr::is_identity_permutation(perm);
-    const std::vector<std::size_t> strides = tsr::row_major_strides(result.dims);
+    const std::vector<std::size_t> strides = tsr::row_major_strides(dims);
     for (std::size_t p : perm) {
-      plan.output_shape_.push_back(result.dims[p]);
+      plan.output_shape_.push_back(dims[p]);
       if (!plan.output_identity_) plan.output_src_stride_.push_back(strides[p]);
     }
     if (!plan.output_identity_) max_rank = std::max(max_rank, perm.size());
@@ -535,7 +634,7 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
   fault::poke("plan-to");
   if (opts.control) opts.control->poll();
 
-  // One deadline across every planning attempt below, so timeout_seconds
+  // One deadline across every planning pass below, so timeout_seconds
   // bounds the whole compile (each replay later gets its own budget).
   Clock::time_point deadline{};
   const bool has_deadline = opts.timeout_seconds > 0.0;
@@ -543,136 +642,117 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
     deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                   std::chrono::duration<double>(opts.timeout_seconds));
 
-  // Keep `plan` if it beats `best` by (total flops, peak intermediate);
+  // Input state every pass starts from, built once.
+  const PlanCompiler::Seed seed(net);
+
+  // A completed search pass: the merge order the winner's build replays,
+  // and the costs candidates are ranked by.
+  struct Schedule {
+    std::vector<std::pair<std::size_t, std::size_t>> merges;
+    std::size_t flops = 0, peak = 0;
+    OrderStrategy strategy = OrderStrategy::Greedy;
+  };
+
+  // Total flops of the cheapest complete schedule found so far in this
+  // compile. Every merge adds >= 1 flop and keep_cheapest ranks by flops
+  // first, so a pass whose running flop sum exceeds it can never be kept:
+  // search passes stop there (Pruned). Passes that tie on flops still run
+  // to completion, so peak and then enumeration order break ties exactly
+  // as a full evaluation of every candidate would.
+  std::size_t incumbent = PlanCompiler::kNone;
+
+  // Keep `s` if it beats `best` by (total flops, peak intermediate);
   // strict comparisons keep the EARLIER candidate on full ties, which is
   // what makes every ladder and the portfolio tie-break stable in
   // enumeration order.
-  auto keep_cheapest = [](ContractionPlan& best, bool& have_best, ContractionPlan&& plan) {
-    if (!have_best || plan.total_flops_ < best.total_flops_ ||
-        (plan.total_flops_ == best.total_flops_ && plan.peak_elems_ < best.peak_elems_)) {
-      best = std::move(plan);
-      have_best = true;
+  auto keep_cheapest = [&](std::optional<Schedule>& best, Schedule&& s) {
+    incumbent = std::min(incumbent, s.flops);
+    if (!best || s.flops < best->flops || (s.flops == best->flops && s.peak < best->peak))
+      best = std::move(s);
+  };
+
+  // One search pass of strategy `s`; MemoryOutError and Pruned propagate.
+  auto search = [&](OrderStrategy s, const auto& drive) -> Schedule {
+    PlanCompiler compiler(seed, opts, deadline, has_deadline, /*build_plan=*/false, incumbent);
+    try {
+      drive(compiler);
+    } catch (const Pruned&) {
+      if (stats) ++stats->strategy_pruned[static_cast<std::size_t>(s)];
+      throw;
     }
+    return Schedule{std::move(compiler.merges), compiler.flops, compiler.peak, s};
   };
 
-  auto build_sequential = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.sequential(opts.custom_sequence);
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::Sequential;
-    return plan;
-  };
-
-  // Greedy = a deterministic ladder of score weights; keep the cheapest
-  // schedule by (total flops, peak intermediate). Planning happens once per
-  // topology while the plan replays per term, so a several-fold deeper
-  // search at plan time is almost free -- and routinely finds schedules
-  // several times cheaper than the single alpha = 1 heuristic.
-  auto build_greedy = [&]() -> ContractionPlan {
-    ContractionPlan best;
-    bool have_best = false;
-    bool saw_memory_out = false;
-    for (const double alpha : opts.greedy_cost_weights) {
+  // A strategy with an internal ladder of `count` candidates (greedy score
+  // weights, bracket widths, random restarts) keeps its cheapest. A
+  // candidate that memory-outs or is pruned is skipped -- others may still
+  // fit; with no survivor the strategy is pruned if any candidate was
+  // (only possible once another strategy set the incumbent), else it
+  // memory-outs.
+  auto ladder = [&](OrderStrategy s, std::size_t count, const auto& drive,
+                    const char* what) -> Schedule {
+    std::optional<Schedule> best;
+    bool pruned = false;
+    for (std::size_t i = 0; i < count; ++i) {
       try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.greedy(alpha);
-        keep_cheapest(best, have_best, compiler.finalize(net));
+        keep_cheapest(best, search(s, [&](PlanCompiler& c) { drive(c, i); }));
       } catch (const MemoryOutError&) {
-        saw_memory_out = true;  // other weights may still fit the budget
+      } catch (const Pruned&) {
+        pruned = true;
       }
     }
-    if (!have_best) {
-      la::detail::require(saw_memory_out, "ContractionPlan: no greedy cost weights configured");
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "greedy cost weight");
-    }
-    best.chosen_strategy_ = OrderStrategy::Greedy;
-    return best;
+    if (best) return std::move(*best);
+    if (pruned) throw Pruned{};
+    throw MemoryOutError(
+        std::string("tensor network contraction exceeded memory budget for every ") + what);
   };
 
-  auto build_pairwise = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.pairwise_recursive();
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::PairwiseRecursive;
-    return plan;
-  };
-
-  // Bracket widths form an internal ladder like the greedy score weights:
-  // three fixed widths, cheapest schedule wins, earlier width wins ties.
-  auto build_bracket = [&]() -> ContractionPlan {
-    ContractionPlan best;
-    bool have_best = false;
-    for (const std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.bracket(width);
-        keep_cheapest(best, have_best, compiler.finalize(net));
-      } catch (const MemoryOutError&) {
-        // narrower/wider brackets may still fit the budget
-      }
-    }
-    if (!have_best)
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "bracket width");
-    best.chosen_strategy_ = OrderStrategy::Bracket;
-    return best;
-  };
-
-  auto build_alternating = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.alternating();
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::Alternating;
-    return plan;
-  };
-
-  // Restarted jittered greedy. Every restart's generator is seeded from
-  // the network's topology hash and the restart index alone -- no wall
-  // clock, no process entropy -- so the restart ladder (and therefore the
-  // kept schedule) is a pure function of topology + options, as the
-  // PlanCache replay contract requires.
-  auto build_random_greedy = [&]() -> ContractionPlan {
-    la::detail::require(opts.random_restarts > 0,
-                        "ContractionPlan: random_restarts must be >= 1");
-    const std::uint64_t topology_seed = net.topology_hash();
-    ContractionPlan best;
-    bool have_best = false;
-    for (std::size_t restart = 0; restart < opts.random_restarts; ++restart) {
-      SplitMix64 rng{topology_seed + 0x9e3779b97f4a7c15ULL * (restart + 1)};
-      // alpha log-uniform in [0.5, 8]: spans well past both ends of the
-      // deterministic ladder, which is where restarts find schedules the
-      // fixed weights miss.
-      const double alpha = 0.5 * std::exp(rng.uniform() * std::log(16.0));
-      try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.greedy(alpha, &rng, 0.25);
-        keep_cheapest(best, have_best, compiler.finalize(net));
-      } catch (const MemoryOutError&) {
-        // other restarts may still fit the budget
-      }
-    }
-    if (!have_best)
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "randomized greedy restart");
-    best.chosen_strategy_ = OrderStrategy::RandomGreedy;
-    return best;
-  };
-
-  auto build_for = [&](OrderStrategy s) -> ContractionPlan {
+  auto build_for = [&](OrderStrategy s) -> Schedule {
     switch (s) {
+      // Greedy = a deterministic ladder of score weights. Planning happens
+      // once per topology while the plan replays per term, so a deeper
+      // search at plan time is almost free -- and routinely finds
+      // schedules several times cheaper than alpha = 1 alone.
       case OrderStrategy::Greedy:
-        return build_greedy();
+        la::detail::require(!opts.greedy_cost_weights.empty(),
+                            "ContractionPlan: no greedy cost weights configured");
+        return ladder(
+            s, opts.greedy_cost_weights.size(),
+            [&](PlanCompiler& c, std::size_t i) { c.greedy(opts.greedy_cost_weights[i]); },
+            "greedy cost weight");
       case OrderStrategy::Sequential:
-        return build_sequential();
+        return search(s, [&](PlanCompiler& c) { c.sequential(opts.custom_sequence); });
       case OrderStrategy::PairwiseRecursive:
-        return build_pairwise();
+        return search(s, [](PlanCompiler& c) { c.pairwise_recursive(); });
+      // Bracket widths 2, 4 and 8 form an internal ladder like the greedy
+      // score weights: earlier width wins ties.
       case OrderStrategy::Bracket:
-        return build_bracket();
+        return ladder(
+            s, 3, [](PlanCompiler& c, std::size_t i) { c.bracket(std::size_t{2} << i); },
+            "bracket width");
       case OrderStrategy::Alternating:
-        return build_alternating();
-      case OrderStrategy::RandomGreedy:
-        return build_random_greedy();
+        return search(s, [](PlanCompiler& c) { c.alternating(); });
+      // Restarted jittered greedy. Every restart's generator is seeded from
+      // the network's topology hash and the restart index alone -- no wall
+      // clock, no process entropy -- so the restart ladder (and therefore
+      // the kept schedule) is a pure function of topology + options, as
+      // the PlanCache replay contract requires.
+      case OrderStrategy::RandomGreedy: {
+        la::detail::require(opts.random_restarts > 0,
+                            "ContractionPlan: random_restarts must be >= 1");
+        const std::uint64_t topology_seed = net.topology_hash();
+        return ladder(
+            s, opts.random_restarts,
+            [&](PlanCompiler& c, std::size_t restart) {
+              SplitMix64 rng{topology_seed + 0x9e3779b97f4a7c15ULL * (restart + 1)};
+              // alpha log-uniform in [0.5, 8]: spans well past both ends of
+              // the deterministic ladder, which is where restarts find
+              // schedules the fixed weights miss.
+              const double alpha = 0.5 * std::exp(rng.uniform() * std::log(16.0));
+              c.greedy(alpha, &rng, 0.25);
+            },
+            "randomized greedy restart");
+      }
       case OrderStrategy::Auto:
         break;
     }
@@ -681,60 +761,68 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
 
   // Portfolio search: try every configured strategy under the ONE shared
   // deadline, keep the minimum-total-flop schedule (ties: peak elems, then
-  // enumeration order). A strategy that exceeds the memory budget is
-  // skipped -- some orders legitimately cannot fit budgets others can --
-  // but TimeoutError always propagates: returning a best-so-far at the
+  // enumeration order). A strategy that exceeds the memory budget, or
+  // whose every candidate the incumbent pruned, is skipped -- but
+  // TimeoutError always propagates: returning a best-so-far at the
   // deadline would make plan selection depend on wall clock, breaking the
   // purity contract PlanCache and bit-identical replay rest on.
-  auto build_portfolio = [&]() -> ContractionPlan {
+  auto build_portfolio = [&]() -> Schedule {
     la::detail::require(!opts.portfolio_strategies.empty(),
                         "ContractionPlan: portfolio_strategies must be non-empty");
     for (const OrderStrategy s : opts.portfolio_strategies)
       la::detail::require(s != OrderStrategy::Auto,
                           "ContractionPlan: portfolio_strategies may not contain Auto");
-    ContractionPlan best;
-    bool have_best = false;
+    std::optional<Schedule> best;
     for (const OrderStrategy s : opts.portfolio_strategies) {
-      ContractionPlan plan;
       try {
-        plan = build_for(s);
+        Schedule candidate = build_for(s);
+        if (stats) stats->strategy_flops[static_cast<std::size_t>(s)] += candidate.flops;
+        keep_cheapest(best, std::move(candidate));
       } catch (const MemoryOutError&) {
-        continue;
+      } catch (const Pruned&) {
       }
-      if (stats) stats->strategy_flops[static_cast<std::size_t>(s)] += plan.total_flops_;
-      keep_cheapest(best, have_best, std::move(plan));
     }
-    if (have_best) return best;
-    // Every portfolio strategy exceeded the memory budget; the Auto
-    // contract keeps its pre-portfolio fallback of last resort.
-    ContractionPlan plan = build_sequential();
+    if (best) return std::move(*best);
+    // Every portfolio strategy exceeded the memory budget (nothing was
+    // pruned: that needs a completed schedule); the Auto contract keeps
+    // its pre-portfolio fallback of last resort.
+    Schedule fallback = build_for(OrderStrategy::Sequential);
     if (stats)
       stats->strategy_flops[static_cast<std::size_t>(OrderStrategy::Sequential)] +=
-          plan.total_flops_;
-    return plan;
+          fallback.flops;
+    return fallback;
   };
 
-  auto build = [&]() -> ContractionPlan {
+  auto choose = [&]() -> Schedule {
     if (opts.strategy == OrderStrategy::Auto) {
       if (opts.portfolio) return build_portfolio();
       try {
-        return build_greedy();
+        return build_for(OrderStrategy::Greedy);
       } catch (const MemoryOutError&) {
         // Greedy painted itself into a corner; a time-ordered sweep can
         // succeed on few-qubit deep circuits where greedy fails.
-        return build_sequential();
+        return build_for(OrderStrategy::Sequential);
       }
     }
     return build_for(opts.strategy);
   };
 
-  ContractionPlan plan = build();
+  // Only the winner is materialized: its merge order replays through the
+  // build pass, which emits the PlanSteps the search passes skipped.
+  const Schedule winner = choose();
+  PlanCompiler builder(seed, opts, deadline, has_deadline, /*build_plan=*/true);
+  for (const auto& [u, v] : winner.merges) builder.merge(u, v);
+  ContractionPlan plan = builder.finalize(net);
+  la::detail::require(plan.total_flops_ == winner.flops && plan.peak_elems_ == winner.peak,
+                      "ContractionPlan: build pass diverged from its search pass");
+  plan.chosen_strategy_ = winner.strategy;
   if (stats) {
     ++stats->plans_compiled;
     ++stats->strategy_chosen[static_cast<std::size_t>(plan.chosen_strategy_)];
-    // The portfolio path records each attempt's estimate itself (the
-    // winner's is already in); direct strategies record theirs here, so
-    // strategy_flops is always "summed best-candidate flops per compile".
+    // The portfolio path records each strategy's best completed candidate
+    // itself (the winner's is already in); direct strategies record
+    // theirs here, so strategy_flops is always "summed best completed
+    // candidate flops per compile".
     if (!(opts.strategy == OrderStrategy::Auto && opts.portfolio))
       stats->strategy_flops[static_cast<std::size_t>(plan.chosen_strategy_)] +=
           plan.total_flops_;

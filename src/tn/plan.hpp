@@ -227,7 +227,14 @@ class ContractionPlan {
   /// opts.strategy exactly as contract_network does (Auto = the strategy
   /// portfolio when opts.portfolio is set, keeping the min-total-flop
   /// schedule; otherwise Greedy with a Sequential fallback on memory-out).
-  /// Throws MemoryOutError when any
+  /// Every candidate order (each ladder entry of each strategy) runs as a
+  /// search pass on shapes, flops, peak and the arena layout only, from
+  /// one input state built per call; a pass stops as soon as its running
+  /// flop sum exceeds the cheapest complete schedule found so far (it can
+  /// no longer win). Only the winner's merge order is then built into
+  /// PlanSteps, so the chosen plan is the one a full evaluation of every
+  /// candidate would pick (ContractStats::strategy_pruned counts the
+  /// stopped passes). Throws MemoryOutError when any
   /// intermediate exceeds opts.max_tensor_elems (or the arena exceeds
   /// opts.max_workspace_elems) and TimeoutError past opts.timeout_seconds,
   /// so MO/TO surface at plan time, before any arithmetic runs.

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <random>
+#include <sstream>
 #include <thread>
 
 #include "bench_support/generators.hpp"
@@ -311,6 +313,258 @@ TEST(Portfolio, TinyDeadlineRaisesTimeoutWithinBoundedLatency) {
   // Generous bound: orders of magnitude below a full compile of this
   // network but far above any single inner-loop iteration.
   EXPECT_LT(elapsed, 2.0);
+}
+
+TEST(Portfolio, PrunedSearchKeepsTheCheapestDirectStrategy) {
+  // Incumbent pruning stops candidates that can no longer win; the kept
+  // plan must still be the cheapest of the direct compiles, ranked by
+  // (flops, peak, portfolio order).
+  const qc::Circuit c = bench::qaoa(64, 1, 11);
+  const Network net = core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
+  const ContractOptions opts;
+  ContractStats stats;
+  const ContractionPlan portfolio = ContractionPlan::compile(net, opts, &stats);
+  std::size_t pruned = 0;
+  for (std::size_t p : stats.strategy_pruned) pruned += p;
+  EXPECT_GT(pruned, 0u);
+
+  std::optional<ContractionPlan> cheapest;
+  for (OrderStrategy s : opts.portfolio_strategies) {
+    ContractOptions direct = opts;
+    direct.strategy = s;
+    try {
+      ContractionPlan plan = ContractionPlan::compile(net, direct);
+      if (!cheapest || plan.total_flops() < cheapest->total_flops() ||
+          (plan.total_flops() == cheapest->total_flops() &&
+           plan.peak_elems() < cheapest->peak_elems()))
+        cheapest = std::move(plan);
+    } catch (const MemoryOutError&) {
+    }
+  }
+  ASSERT_TRUE(cheapest.has_value());
+  EXPECT_EQ(portfolio.fingerprint(), cheapest->fingerprint());
+  EXPECT_EQ(portfolio.chosen_strategy(), cheapest->chosen_strategy());
+  // Every strategy that completed a candidate recorded its best one.
+  EXPECT_EQ(stats.strategy_flops[static_cast<std::size_t>(portfolio.chosen_strategy())],
+            portfolio.total_flops());
+}
+
+TEST(Portfolio, AllLaterStrategiesPrunedReturnsTheGreedyPlan) {
+  // On the 6x6 QAOA network the greedy ladder's schedule is cheaper than
+  // anything the other strategies reach: each of them is pruned (and so
+  // skipped) rather than memory-outing, and the compile returns the
+  // greedy plan without throwing or falling back to Sequential.
+  const Network net = qaoa_amplitude_network();
+  ContractStats stats;
+  const ContractionPlan portfolio = ContractionPlan::compile(net, {}, &stats);
+  ContractOptions greedy_opts;
+  greedy_opts.strategy = OrderStrategy::Greedy;
+  const ContractionPlan greedy = ContractionPlan::compile(net, greedy_opts);
+  EXPECT_EQ(portfolio.chosen_strategy(), OrderStrategy::Greedy);
+  EXPECT_EQ(portfolio.fingerprint(), greedy.fingerprint());
+  for (OrderStrategy s : ContractOptions{}.portfolio_strategies) {
+    const std::size_t si = static_cast<std::size_t>(s);
+    if (s == OrderStrategy::Greedy) {
+      EXPECT_EQ(stats.strategy_flops[si], greedy.total_flops());
+      continue;
+    }
+    EXPECT_GT(stats.strategy_pruned[si], 0u) << order_strategy_name(s);
+    EXPECT_EQ(stats.strategy_flops[si], 0u) << order_strategy_name(s);
+  }
+  EXPECT_EQ(stats.strategy_flops[static_cast<std::size_t>(OrderStrategy::Sequential)], 0u);
+}
+
+TEST(Portfolio, FlopTiesAreNotPrunedAndBreakOnPeak) {
+  // Pairwise-recursive and alternating both cost 176 flops on this
+  // network, with peaks 32 and 16. Pruning stops only candidates strictly
+  // costlier than the incumbent, so the later alternating candidate still
+  // completes and wins on peak.
+  std::mt19937_64 rng(5);
+  Network net;
+  std::vector<EdgeId> e;
+  for (int i = 0; i < 6; ++i) e.push_back(net.new_edge());
+  net.add_node(random_tensor({4}, rng), {e[0]});
+  net.add_node(random_tensor({4, 2, 2, 4}, rng), {e[0], e[1], e[3], e[5]});
+  net.add_node(random_tensor({2, 2}, rng), {e[1], e[2]});
+  net.add_node(random_tensor({2, 4}, rng), {e[2], e[4]});
+  net.add_node(random_tensor({2, 4, 4}, rng), {e[3], e[4], e[5]});
+  ContractOptions opts;
+  opts.portfolio_strategies = {OrderStrategy::PairwiseRecursive, OrderStrategy::Alternating};
+  ContractStats stats;
+  const ContractionPlan plan = ContractionPlan::compile(net, opts, &stats);
+  EXPECT_EQ(plan.chosen_strategy(), OrderStrategy::Alternating);
+  EXPECT_EQ(plan.total_flops(), 176u);
+  EXPECT_EQ(plan.peak_elems(), 16u);
+  EXPECT_EQ(stats.strategy_flops[static_cast<std::size_t>(OrderStrategy::PairwiseRecursive)],
+            176u);
+  EXPECT_EQ(stats.strategy_pruned[static_cast<std::size_t>(OrderStrategy::Alternating)], 0u);
+}
+
+// --- golden plans -----------------------------------------------------------
+
+/// Amplitude network of a noisy circuit's skeleton: each noise site becomes
+/// a same-arity placeholder gate, as the Algorithm-1 sweeps build it.
+Network noisy_skeleton_network(const ch::NoisyCircuit& nc) {
+  std::vector<qc::Gate> gates;
+  for (const ch::Op& op : nc.ops()) {
+    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
+      gates.push_back(*g);
+      continue;
+    }
+    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
+    gates.push_back(noise.num_qubits() == 1
+                        ? qc::u1q(noise.qubit, la::Matrix::identity(2))
+                        : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
+  }
+  return core::amplitude_network(nc.num_qubits(), gates, 0, 0);
+}
+
+/// 64-bit FNV-1a digest of everything a compile decides: the schedule
+/// (fingerprint), its cost figures and the chosen strategy. A compile that
+/// memory-outs digests to a fixed tag.
+std::uint64_t plan_digest(const Network& net, const ContractOptions& opts) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  };
+  try {
+    const ContractionPlan plan = ContractionPlan::compile(net, opts);
+    for (const char c : plan.fingerprint()) mix(static_cast<unsigned char>(c));
+    mix(plan.total_flops());
+    mix(plan.peak_elems());
+    mix(plan.workspace_elems());
+    mix(plan.total_bytes());
+    mix(static_cast<std::uint64_t>(plan.chosen_strategy()));
+  } catch (const MemoryOutError&) {
+    mix(0x4d4f);  // "MO"
+  }
+  return h;
+}
+
+/// The option sets every golden network is compiled under, in table order.
+std::vector<std::pair<std::string, ContractOptions>> golden_options(const Network& net) {
+  ContractOptions base;
+  base.max_tensor_elems = std::size_t{1} << 24;  // bench_ablation_orders' budget
+  std::vector<std::pair<std::string, ContractOptions>> out;
+  out.emplace_back("auto", base);
+  ContractOptions no_portfolio = base;
+  no_portfolio.portfolio = false;
+  out.emplace_back("auto_no_portfolio", no_portfolio);
+  for (OrderStrategy s : kAllConcreteStrategies) {
+    ContractOptions direct = base;
+    direct.strategy = s;
+    out.emplace_back(order_strategy_name(s), direct);
+  }
+  ContractOptions reversed = base;
+  reversed.strategy = OrderStrategy::Sequential;
+  for (std::size_t i = net.num_nodes(); i-- > 0;) reversed.custom_sequence.push_back(i);
+  out.emplace_back("sequential_reversed", reversed);
+  // Arena budgets at the default Auto plan's workspace (every wider
+  // candidate memory-outs, the winner fits) and one element below it (the
+  // winner memory-outs too, so a narrower candidate or the fallback wins).
+  const std::size_t winner_arena = ContractionPlan::compile(net, base).workspace_elems();
+  for (const std::size_t budget : {winner_arena, winner_arena - 1}) {
+    ContractOptions budgeted = base;
+    budgeted.max_workspace_elems = budget;
+    out.emplace_back("auto_workspace_" + std::to_string(budget), budgeted);
+  }
+  return out;
+}
+
+TEST(GoldenPlans, MatchRecordedDigests) {
+  // Plan selection is a pure function of topology + options. These digests
+  // were recorded before the planner's search passes were separated from
+  // the plan build (and before incumbent pruning); any change to a chosen
+  // schedule, its costs or its strategy shows up here. The greedy heap's
+  // order among full score ties follows the standard library's
+  // priority_queue, so the digests assume libstdc++.
+  // plan_digest of a compile that memory-outs.
+  constexpr std::uint64_t kMO = 0x4cbc1b5adbe24a53ULL;
+  struct Golden {
+    const char* name;
+    Network net;
+    std::vector<std::uint64_t> digests;  // one per golden_options entry
+  };
+  const auto amp = [](const qc::Circuit& c) {
+    return core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
+  };
+  const std::vector<Golden> cases = {
+      {"qaoa_36", amp(bench::qaoa(36, 1, 7)),
+       {
+           0x1c5662c332b6136ULL, 0x1c5662c332b6136ULL, 0x1c5662c332b6136ULL,
+           kMO, kMO, kMO,
+           kMO, 0xa27e3666becd45bdULL, kMO,
+           0x1c5662c332b6136ULL, kMO,
+       }},
+      {"qaoa_64", amp(bench::qaoa(64, 1, 11)),
+       {
+           0xaeda9321558a2854ULL, 0x1f4b34224989afb1ULL, 0x1f4b34224989afb1ULL,
+           kMO, kMO, kMO,
+           kMO, 0xaeda9321558a2854ULL, kMO,
+           0xaeda9321558a2854ULL, kMO,
+       }},
+      {"hf_vqe_8", amp(bench::hf_vqe(8, 3)),
+       {
+           0x17ec482b39ecd0aaULL, 0x17ec482b39ecd0aaULL, 0x17ec482b39ecd0aaULL,
+           0xe415f4f814c8c75aULL, 0x4f9f07356c72fe5eULL, 0x367a7310995122efULL,
+           0x65ddc3d9fc2cf59dULL, 0x346e5152117fad8dULL, 0x1a0c3726af4404b3ULL,
+           0x17ec482b39ecd0aaULL, 0x7840c0a7c7746e1fULL,
+       }},
+      {"hf_vqe_12", amp(bench::hf_vqe(12, 3)),
+       {
+           0x3dbeed513e04afd6ULL, 0x19fbccabfa67c465ULL, 0x19fbccabfa67c465ULL,
+           0x606b7fd2670d3a1ULL, 0x7337409fea581bb5ULL, 0x6026e635f8060af2ULL,
+           0x6504990e57929ce1ULL, 0x3dbeed513e04afd6ULL, 0xbab9fee01c600583ULL,
+           0x3dbeed513e04afd6ULL, 0x19fbccabfa67c465ULL,
+       }},
+      {"inst_4x4_12", amp(bench::supremacy_inst(4, 4, 12, 5)),
+       {
+           0xd138320b172798abULL, 0xd138320b172798abULL, 0xd138320b172798abULL,
+           0xc7a0b4961044d010ULL, kMO, 0x3896b0ca84d60ce7ULL,
+           0xdebd1b447cb4640cULL, 0x795e6eea740f976cULL, 0x115cc38b5fd8a871ULL,
+           0xd138320b172798abULL, kMO,
+       }},
+      {"inst_4x5_16", amp(bench::supremacy_inst(4, 5, 16, 5)),
+       {
+           0x2233f417f5a4644eULL, 0xd71a8676eca301bbULL, kMO,
+           0xd71a8676eca301bbULL, kMO, 0x28f4523eb8c51b9eULL,
+           0x2233f417f5a4644eULL, 0xde3aab6151626feeULL, 0x427eaeb04a539f7bULL,
+           0x2233f417f5a4644eULL, 0x28f4523eb8c51b9eULL,
+       }},
+      {"qaoa_64_realistic4",
+       noisy_skeleton_network(bench::insert_noises(bench::qaoa(64, 1, 5), 4,
+                                                   bench::realistic_noise(), 6)),
+       {
+           0x13039266a387361bULL, 0x13039266a387361bULL, 0x13039266a387361bULL,
+           kMO, kMO, kMO,
+           kMO, 0x45c0d50a2cd2f55eULL, kMO,
+           0x13039266a387361bULL, kMO,
+       }},
+      {"qaoa_16_depolarizing10",
+       noisy_skeleton_network(bench::insert_noises(bench::qaoa(16, 1, 5), 10,
+                                                   bench::depolarizing_noise(0.1), 6)),
+       {
+           0xd28612739ad97a97ULL, 0xd28612739ad97a97ULL, 0xd28612739ad97a97ULL,
+           0xfade0c888a21754bULL, kMO, 0xf13b778f19a2123eULL,
+           0xcdf002feb5e77d30ULL, 0x74cac2ce78daba44ULL, 0xb0b5f8b54b0720bcULL,
+           0xd28612739ad97a97ULL, 0x74cac2ce78daba44ULL,
+       }},
+  };
+  for (const Golden& g : cases) {
+    const auto options = golden_options(g.net);
+    std::ostringstream got;
+    for (std::size_t i = 0; i < options.size(); ++i) {
+      const std::uint64_t d = plan_digest(g.net, options[i].second);
+      got << "0x" << std::hex << d << std::dec << "ULL, ";
+      if (i < g.digests.size()) {
+        EXPECT_EQ(d, g.digests[i]) << g.name << " / " << options[i].first;
+      }
+    }
+    EXPECT_EQ(g.digests.size(), options.size()) << g.name << ": " << got.str();
+  }
 }
 
 /// Random variant tensors for the ladder's varying slots and a helper that
