@@ -7,6 +7,19 @@
 // "column qubits"), so each gate costs O(4^n) instead of dense O(8^n)
 // matrix products. The 4^n memory footprint is what makes this method "MO"
 // on the paper's larger benchmarks.
+//
+// Every op is ONE in-place pass of the fused kernel layer
+// (sim/kernels.hpp) over rho's 2x2 (1-qubit) or 4x4 (2-qubit) blocks --
+// the row and column bits of the target qubits. A gate transforms each
+// block's rows by U, then its columns by conj(U). A channel sums
+// E_k X E_k^dagger over the block, from +0 in Kraus order, so it needs
+// no copy of rho: the only 4^n buffer is rho itself. The results are
+// bitwise those of applying the row pass to all of rho, then the column
+// pass, then accumulating per-Kraus copies -- each block is closed under
+// both passes. density_evolution_flops still models the two passes per
+// op (and per Kraus operator) of that formulation on purpose: it prices
+// the same multiply-adds, and re-pricing belongs to the calibrated cost
+// model, not to a kernel change.
 
 #include <cstdint>
 
@@ -24,7 +37,7 @@ class DensityMatrix {
   int num_qubits() const { return n_; }
   std::size_t dim() const { return std::size_t{1} << n_; }
 
-  /// rho -> U rho U^dagger.
+  /// rho -> U rho U^dagger; throws LinalgError for a qubit out of range.
   void apply_gate(const qc::Gate& g);
   /// rho -> sum_k E_k rho E_k^dagger for a 1-qubit channel on qubit q.
   void apply_channel(const ch::Channel& channel, int q);
@@ -43,12 +56,9 @@ class DensityMatrix {
   la::Matrix to_matrix() const;
 
  private:
-  // Apply 2x2 (or 4x4) matrix m to the row index bits of rho.
-  void apply_left1(const la::Matrix& m, int q, std::vector<cplx>& buf) const;
-  void apply_left2(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const;
-  // Apply conj(m) to the column index bits (right-multiplication by m^dag).
-  void apply_right1(const la::Matrix& m, int q, std::vector<cplx>& buf) const;
-  void apply_right2(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const;
+  // Flat-index masks of qubit q's row and column bits (callers range-check).
+  std::size_t row_bit(int q) const { return std::size_t{1} << (2 * n_ - 1 - q); }
+  std::size_t col_bit(int q) const { return std::size_t{1} << (n_ - 1 - q); }
 
   int n_ = 0;
   std::vector<cplx> rho_;  // row-major, size 4^n

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "sim/kernels.hpp"
+
 namespace noisim::sim {
 
 Statevector::Statevector(int n) : n_(n) {
@@ -28,37 +30,14 @@ Statevector Statevector::from_vector(int n, const la::Vector& v) {
 void Statevector::apply_matrix1(const la::Matrix& m, int q) {
   la::detail::require(m.rows() == 2 && m.cols() == 2, "apply_matrix1: need 2x2");
   la::detail::require(q >= 0 && q < n_, "apply_matrix1: qubit out of range");
-  const std::size_t bit = std::size_t{1} << (n_ - 1 - q);
-  const cplx m00 = m(0, 0), m01 = m(0, 1), m10 = m(1, 0), m11 = m(1, 1);
-  const std::size_t size = amps_.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (i & bit) continue;
-    const cplx a0 = amps_[i];
-    const cplx a1 = amps_[i | bit];
-    amps_[i] = m00 * a0 + m01 * a1;
-    amps_[i | bit] = m10 * a0 + m11 * a1;
-  }
+  kernels::apply1(amps_.data(), amps_.size(), kernels::to_mat2(m), bit(q));
 }
 
 void Statevector::apply_matrix2(const la::Matrix& m, int a, int b) {
   la::detail::require(m.rows() == 4 && m.cols() == 4, "apply_matrix2: need 4x4");
   la::detail::require(a >= 0 && a < n_ && b >= 0 && b < n_ && a != b,
                       "apply_matrix2: qubits out of range");
-  const std::size_t bit_a = std::size_t{1} << (n_ - 1 - a);
-  const std::size_t bit_b = std::size_t{1} << (n_ - 1 - b);
-  const std::size_t size = amps_.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (i & (bit_a | bit_b)) continue;
-    cplx old[4], neu[4];
-    for (std::size_t t = 0; t < 4; ++t)
-      old[t] = amps_[i | ((t & 2) ? bit_a : 0) | ((t & 1) ? bit_b : 0)];
-    for (std::size_t r = 0; r < 4; ++r) {
-      neu[r] = cplx{0.0, 0.0};
-      for (std::size_t c = 0; c < 4; ++c) neu[r] += m(r, c) * old[c];
-    }
-    for (std::size_t t = 0; t < 4; ++t)
-      amps_[i | ((t & 2) ? bit_a : 0) | ((t & 1) ? bit_b : 0)] = neu[t];
-  }
+  kernels::apply2(amps_.data(), amps_.size(), kernels::to_mat4(m), bit(a), bit(b));
 }
 
 void Statevector::apply_gate(const qc::Gate& g) {
@@ -82,22 +61,11 @@ cplx Statevector::inner(const Statevector& other) const {
 
 cplx Statevector::expectation1(const la::Matrix& m, int q) const {
   la::detail::require(m.rows() == 2 && m.cols() == 2, "expectation1: need 2x2");
-  const std::size_t bit = std::size_t{1} << (n_ - 1 - q);
-  cplx s{0.0, 0.0};
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    if (i & bit) continue;
-    const cplx a0 = amps_[i], a1 = amps_[i | bit];
-    s += std::conj(a0) * (m(0, 0) * a0 + m(0, 1) * a1);
-    s += std::conj(a1) * (m(1, 0) * a0 + m(1, 1) * a1);
-  }
-  return s;
+  la::detail::require(q >= 0 && q < n_, "expectation1: qubit out of range");
+  return kernels::expectation1(amps_.data(), amps_.size(), kernels::to_mat2(m), bit(q));
 }
 
-double Statevector::norm2() const {
-  double s = 0.0;
-  for (const cplx& a : amps_) s += std::norm(a);
-  return s;
-}
+double Statevector::norm2() const { return kernels::norm2(amps_.data(), amps_.size()); }
 
 double Statevector::norm() const { return std::sqrt(norm2()); }
 

@@ -7,7 +7,8 @@
 //
 // apply_matrix* accept arbitrary (including non-unitary) matrices: the
 // trajectories method applies Kraus operators and renormalizes, and the
-// paper's approximation algorithm inserts non-unitary SVD factors.
+// paper's approximation algorithm inserts non-unitary SVD factors. They
+// (and expectation1 / norm2) run on the fused kernels of sim/kernels.hpp.
 
 #include <cstdint>
 #include <vector>
@@ -44,7 +45,8 @@ class Statevector {
 
   /// <this|other>.
   cplx inner(const Statevector& other) const;
-  /// <psi| M_q |psi> for a 2x2 operator M on qubit q (no copy).
+  /// <psi| M_q |psi> for a 2x2 operator M on qubit q (no copy); throws
+  /// LinalgError for a qubit out of range.
   cplx expectation1(const la::Matrix& m, int q) const;
 
   double norm2() const;
@@ -54,6 +56,9 @@ class Statevector {
   la::Vector to_vector() const;
 
  private:
+  // Flat-index mask of qubit q (callers range-check q).
+  std::size_t bit(int q) const { return std::size_t{1} << (n_ - 1 - q); }
+
   int n_ = 0;
   std::vector<cplx> amps_;
 };

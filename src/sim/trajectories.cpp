@@ -1,57 +1,16 @@
 #include "sim/trajectories.hpp"
 
 #include <cmath>
+#include <limits>
+
+#include "sim/sv_sampler.hpp"
 
 namespace noisim::sim {
 
 double sample_trajectory_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::uint64_t v_bits, std::mt19937_64& rng) {
-  Statevector sv = Statevector::basis(nc.num_qubits(), psi_bits);
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      sv.apply_gate(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    const auto& kraus = noise.channel.kraus();
-    const bool two_qubit = noise.num_qubits() == 2;
-
-    // Born probabilities p_k = <psi| E_k^dag E_k |psi>. The 1-qubit case
-    // uses a local 2x2 expectation (no copies); the 2-qubit case applies
-    // each candidate to a scratch copy and reads the norm.
-    auto born = [&](std::size_t k) {
-      if (!two_qubit) return sv.expectation1(kraus[k].adjoint() * kraus[k], noise.qubit).real();
-      Statevector scratch = sv;
-      scratch.apply_matrix2(kraus[k], noise.qubit, noise.qubit2);
-      return scratch.norm2();
-    };
-
-    double cumulative = 0.0;
-    const double u = unif(rng);
-    std::size_t chosen = kraus.size() - 1;
-    double p_chosen = 0.0;
-    for (std::size_t k = 0; k < kraus.size(); ++k) {
-      const double pk = born(k);
-      cumulative += pk;
-      if (u < cumulative) {
-        chosen = k;
-        p_chosen = pk;
-        break;
-      }
-      p_chosen = pk;  // fall through to the last operator on rounding
-    }
-    if (two_qubit)
-      sv.apply_matrix2(kraus[chosen], noise.qubit, noise.qubit2);
-    else
-      sv.apply_matrix1(kraus[chosen], noise.qubit);
-    if (p_chosen > 0.0) {
-      const double scale = 1.0 / std::sqrt(p_chosen);
-      sv.apply_matrix1(la::Matrix{{scale, 0}, {0, scale}}, noise.qubit);
-    }
-  }
-  return std::norm(sv.amplitude(v_bits));
+  const SvProgram prog(nc, psi_bits, v_bits);
+  return SvSampler(prog, 0)(rng);
 }
 
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
@@ -59,9 +18,11 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
                                  std::mt19937_64& rng) {
   // Zero samples is a well-defined (empty) estimate, not an error.
   if (samples == 0) return {};
+  const SvProgram prog(nc, psi_bits, v_bits);
+  SvSampler sampler(prog, sv_checkpoint_levels(prog.num_qubits(), prog.sites()));
   double sum = 0.0, sum_sq = 0.0;
   for (std::size_t s = 0; s < samples; ++s) {
-    const double f = sample_trajectory_sv(nc, psi_bits, v_bits, rng);
+    const double f = sampler(rng);
     sum += f;
     sum_sq += f * f;
   }
@@ -79,9 +40,16 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                  std::uint64_t v_bits, std::size_t samples, std::uint64_t seed,
                                  const ParallelOptions& opts) {
+  const SvProgram prog(nc, psi_bits, v_bits);
+  const std::size_t levels = sv_checkpoint_levels(prog.num_qubits(), prog.sites());
+  // One sampler per worker: each owns its checkpoint stack.
   return run_trajectories(
       samples, seed,
-      [&](std::mt19937_64& rng) { return sample_trajectory_sv(nc, psi_bits, v_bits, rng); },
+      [&](std::size_t) -> Sampler {
+        return [sampler = SvSampler(prog, levels)](std::mt19937_64& rng) mutable {
+          return sampler(rng);
+        };
+      },
       opts);
 }
 
@@ -91,8 +59,12 @@ std::size_t hoeffding_samples(double accuracy, double failure_prob) {
   // non-positive sample count (and a huge bogus value once cast to size_t).
   la::detail::require(failure_prob > 0.0 && failure_prob < 2.0,
                       "hoeffding_samples: failure_prob must be in (0, 2)");
-  const double r = std::log(2.0 / failure_prob) / (2.0 * accuracy * accuracy);
-  return static_cast<std::size_t>(std::ceil(r));
+  const double r = std::ceil(std::log(2.0 / failure_prob) / (2.0 * accuracy * accuracy));
+  // Saturate: a count past SIZE_MAX (accuracy <~ 1e-10) is unreachable
+  // anyway, and casting it would be undefined behaviour.
+  constexpr auto kMax = std::numeric_limits<std::size_t>::max();
+  if (!(r < static_cast<double>(kMax))) return kMax;
+  return static_cast<std::size_t>(r);
 }
 
 double hoeffding_accuracy(std::size_t samples, double failure_prob) {
@@ -121,7 +93,11 @@ TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc) {
     out.per_sample_flops +=
         (static_cast<double>(noise.channel.kraus().size()) + 2.0) * apply;
   }
-  out.peak_elems = static_cast<std::size_t>(dim * (scratch_copy ? 2.0 : 1.0));
+  // The working state, the 2-qubit Born scratch, and the checkpoints.
+  const double states =
+      1.0 + (scratch_copy ? 1.0 : 0.0) +
+      static_cast<double>(sv_checkpoint_levels(nc.num_qubits(), nc.noise_count()));
+  out.peak_elems = static_cast<std::size_t>(dim * states);
   return out;
 }
 

@@ -12,6 +12,19 @@
 // This is the "MM-based" trajectories variant (statevector); the TN-based
 // variant lives in core/trajectories_tn.hpp because it reuses the tensor
 // network amplitude machinery.
+//
+// trajectories_sv compiles the circuit once per call (sim::SvProgram, in
+// sim/sv_sampler.hpp) and gives every worker a checkpointed sampler
+// (sim::SvSampler): consecutive trajectories that pick the same Kraus
+// operators -- at realistic noise rates, nearly all of them -- reuse the
+// stored pre-noise states, Born probabilities and leaf value of the last
+// path, and recompute only from the first noise site where the draws
+// diverge. Each worker stores at most floor(kSvCheckpointElems / 2^n) =
+// floor(2^22 / 2^n) states (64 MiB); deeper levels are replayed. Every
+// sample draws one uniform per noise site in op order and its value is a
+// pure function of those draws, so the estimate is bitwise that of
+// replaying the whole circuit per sample (sample_trajectory_sv), at any
+// thread count and chunk size.
 
 #include <cstdint>
 #include <random>
@@ -33,13 +46,15 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
                                  std::uint64_t v_bits, std::size_t samples, std::uint64_t seed,
                                  const ParallelOptions& opts);
 
-/// Single-trajectory sample (exposed for tests of the sampling step).
+/// Single-trajectory sample, replaying the whole circuit (no checkpoints;
+/// exposed for tests of the sampling step).
 double sample_trajectory_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::uint64_t v_bits, std::mt19937_64& rng);
 
 /// Number of samples needed so that a (1 - failure_prob) confidence interval
 /// of half-width `accuracy` covers the estimate, by Hoeffding's inequality
-/// on outcomes bounded in [0, 1]: r = ln(2/failure) / (2 accuracy^2).
+/// on outcomes bounded in [0, 1]: r = ln(2/failure) / (2 accuracy^2),
+/// saturating at SIZE_MAX when r does not fit (accuracy below ~1e-10).
 /// Throws LinalgError for degenerate inputs (`accuracy <= 0`,
 /// `failure_prob <= 0` or `>= 2`, where the bound is vacuous or negative).
 std::size_t hoeffding_samples(double accuracy, double failure_prob);
@@ -63,7 +78,11 @@ struct TrajectoryCost {
 /// Cost model of sample_trajectory_sv: every gate updates all 2^n
 /// amplitudes; every noise site additionally evaluates each Kraus
 /// candidate's Born probability and renormalizes the winner. Peak memory is
-/// the state plus the 2-qubit Born scratch copy.
+/// the state, the 2-qubit Born scratch, and the sampler's checkpoints
+/// (sv_checkpoint_levels states). per_sample_flops deliberately still
+/// prices a full replay per sample: what checkpointing saves depends on
+/// the noise rates, and re-pricing it belongs to a calibrated cost model,
+/// not to the sampler.
 TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc);
 
 }  // namespace noisim::sim

@@ -283,6 +283,30 @@ TEST(BackendSelection, TnTrajectoriesRunReplaysThePlanItsEstimateCompiled) {
   EXPECT_EQ(r.value, direct.mean);
 }
 
+TEST(BackendSelection, TinyErrorBudgetPricesSamplersAboveMaxSamples) {
+  // At error_budget 1e-10 the Hoeffding count exceeds size_t; it must
+  // saturate and rule the samplers out as "above max_samples", not wrap to
+  // 0 samples and fail inside hoeffding_accuracy.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(4, 1, 5), 1, bench::depolarizing_noise(0.01), 7);
+  SimulateOptions opts;
+  opts.error_budget = 1e-10;
+  const SimResult r = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(r.error_bound, 0.0);  // an exact backend won
+  const std::string needed =
+      "needs " + std::to_string(std::numeric_limits<std::size_t>::max()) + " samples";
+  bool saw_sv = false;
+  for (const BackendChoice& c : r.considered) {
+    if (c.kind != BackendKind::SvTrajectories && c.kind != BackendKind::MpsTrajectories) continue;
+    saw_sv = saw_sv || c.kind == BackendKind::SvTrajectories;
+    EXPECT_FALSE(c.estimate.feasible);
+    EXPECT_NE(c.estimate.reason.find(needed), std::string::npos) << c.estimate.reason;
+    EXPECT_NE(c.estimate.reason.find("above max_samples"), std::string::npos)
+        << c.estimate.reason;
+  }
+  EXPECT_TRUE(saw_sv);
+}
+
 TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::hf_vqe(6, 11), 2, bench::depolarizing_noise(0.05), 13);

@@ -1,6 +1,7 @@
 // Tests for the state-vector, density-matrix and trajectories simulators.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "channels/catalog.hpp"
@@ -213,6 +214,35 @@ TEST(Trajectories, HoeffdingRejectsDegenerateInputs) {
   EXPECT_THROW(hoeffding_samples(0.1, 5.0), LinalgError);
   // Vacuous-confidence but well-defined region still returns a count.
   EXPECT_GE(hoeffding_samples(0.1, 1.5), 1u);
+}
+
+TEST(Trajectories, HoeffdingSampleCountSaturatesInsteadOfOverflowing) {
+  // ln(200) / (2e-18) ~ 2.6e18 still fits in size_t ...
+  EXPECT_LT(hoeffding_samples(1e-9, 0.01), std::numeric_limits<std::size_t>::max());
+  EXPECT_GT(hoeffding_samples(1e-9, 0.01), std::size_t{2'000'000'000'000'000'000});
+  // ... past ~1e-10 the count does not, and must saturate (the unchecked
+  // cast used to return 0 here).
+  EXPECT_EQ(hoeffding_samples(1e-10, 0.01), std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(hoeffding_samples(1e-12, 0.01), std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(hoeffding_samples(1e-200, 0.5), std::numeric_limits<std::size_t>::max());
+}
+
+TEST(Statevector, Expectation1RejectsQubitOutOfRange) {
+  const Statevector sv(3);
+  const la::Matrix m{{1, 0}, {0, 1}};
+  EXPECT_THROW(sv.expectation1(m, 3), LinalgError);
+  EXPECT_THROW(sv.expectation1(m, 40), LinalgError);
+  EXPECT_THROW(sv.expectation1(m, -1), LinalgError);
+}
+
+TEST(DensityMatrix, ApplyGateRejectsQubitOutOfRange) {
+  DensityMatrix dm(2);
+  EXPECT_THROW(dm.apply_gate(qc::h(2)), LinalgError);
+  EXPECT_THROW(dm.apply_gate(qc::x(9)), LinalgError);
+  EXPECT_THROW(dm.apply_gate(qc::cz(0, 2)), LinalgError);
+  EXPECT_THROW(dm.apply_gate(qc::cx(5, 1)), LinalgError);
+  // The failed calls left rho untouched.
+  EXPECT_NEAR(dm.fidelity_basis(0), 1.0, 0.0);
 }
 
 // --- parallel engine ---------------------------------------------------------

@@ -40,6 +40,14 @@ exercised by --self-test):
                     site -- every other consumer gets its plan from the
                     table (or PlanCache::compile_plan), so no one
                     recompiles a topology another template already shares.
+  no-native-arch    no -march=native, -mtune=native or -mfma in any CMake
+                    file (CMakeLists.txt, *.cmake): they enable FMA on the
+                    whole build, and GCC's vectorizer contracts complex
+                    multiply-adds into vfmadd even under -ffp-contract=off,
+                    so results stop being bit-identical across hosts and
+                    with the scalar sim/tensor kernels. ISA tiers are
+                    opted into per source file (-mavx2 / -mavx512f), never
+                    globally.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -51,6 +59,8 @@ from pathlib import Path
 
 CXX_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".inc"}
 SCAN_DIRS = ("src", "tests", "bench", "examples")
+# Directories whose CMake files (only) are scanned as well.
+CMAKE_ONLY_DIRS = ("perfbench",)
 FIXTURE_DIR_NAME = "lint_fixtures"
 
 RULES = (
@@ -61,6 +71,7 @@ RULES = (
     "claim-loop-polls",
     "mutex-guards",
     "plan-compile-sites",
+    "no-native-arch",
 )
 
 
@@ -434,9 +445,19 @@ def collect(root, fixture_mode):
                 continue
             if path.suffix in CXX_SUFFIXES:
                 cxx_files.append((path, path.read_text(encoding="utf-8", errors="replace")))
-            elif path.name == "CMakeLists.txt":
+            elif is_cmake(path):
                 cmake_texts.append((path, path.read_text(encoding="utf-8", errors="replace")))
+    if not fixture_mode:
+        for d in CMAKE_ONLY_DIRS:
+            for path in sorted((root / d).rglob("*")) if (root / d).is_dir() else []:
+                if path.is_file() and is_cmake(path):
+                    cmake_texts.append(
+                        (path, path.read_text(encoding="utf-8", errors="replace")))
     return cxx_files, cmake_texts
+
+
+def is_cmake(path):
+    return path.name == "CMakeLists.txt" or path.suffix == ".cmake"
 
 
 PLAN_COMPILE_RE = re.compile(r"\bContractionPlan\s*::\s*compile\s*\(")
@@ -457,6 +478,38 @@ def check_plan_compile_sites(cxx_files):
     return findings
 
 
+NATIVE_ARCH_RE = re.compile(r"-m(?:arch|tune)=native\b|-mfma\b")
+
+
+def strip_cmake_comments(text):
+    """Blank `# ...` comments (outside double-quoted strings), keeping lines."""
+    out = []
+    for line in text.splitlines():
+        quoted = False
+        for idx, ch in enumerate(line):
+            if ch == '"':
+                quoted = not quoted
+            elif ch == "#" and not quoted:
+                line = line[:idx]
+                break
+        out.append(line)
+    return "\n".join(out)
+
+
+def check_no_native_arch(cmake_texts):
+    findings = []
+    for path, text in cmake_texts:
+        code = strip_cmake_comments(text)
+        for m in NATIVE_ARCH_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "no-native-arch",
+                f"'{m.group(0)}' enables FMA for the whole build; GCC's vectorizer "
+                "then contracts complex multiply-adds into vfmadd even under "
+                "-ffp-contract=off, breaking bit-identity across hosts and with "
+                "the scalar kernels -- opt a single TU into an ISA tier instead"))
+    return findings
+
+
 def run_rules(root, cxx_files, cmake_texts):
     findings = []
     findings += check_ffp_contract(root, cxx_files, cmake_texts)
@@ -466,6 +519,7 @@ def run_rules(root, cxx_files, cmake_texts):
     findings += check_claim_loop_polls(cxx_files)
     findings += check_mutex_guards(cxx_files)
     findings += check_plan_compile_sites(cxx_files)
+    findings += check_no_native_arch(cmake_texts)
     return findings
 
 
