@@ -15,6 +15,7 @@
 #include "core/plan_cache.hpp"
 #include "fault/fault.hpp"
 #include "linalg/svd.hpp"
+#include "sim/parallel.hpp"
 #include "support/mutex.hpp"
 
 namespace noisim::core {
@@ -135,30 +136,6 @@ std::vector<Term> enumerate_terms(const std::vector<Site>& sites, std::size_t le
     }
   }
   return out;
-}
-
-// Deterministic static partition shared by both sweeps: worker w owns a
-// contiguous, balanced index range (sizes differ by at most one, so no
-// worker sits idle), and the index-to-worker assignment is a pure function
-// of (total, threads). No two workers share an output slot, and reductions
-// run on the joined values in enumeration order either way.
-void run_partitioned(std::size_t threads, std::size_t total,
-                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (threads <= 1) {
-    body(0, 0, total);
-    return;
-  }
-  const std::size_t base_size = total / threads;
-  const std::size_t remainder = total % threads;
-  std::vector<std::future<void>> workers;
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < threads; ++w) {
-    const std::size_t end = begin + base_size + (w < remainder ? 1 : 0);
-    workers.push_back(
-        std::async(std::launch::async, [&body, w, begin, end] { body(w, begin, end); }));
-    begin = end;
-  }
-  for (auto& f : workers) f.get();  // rethrows worker exceptions
 }
 
 // Shared progress accounting (the contract ApproxOptions::progress
@@ -1038,8 +1015,15 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
   std::vector<cplx> values(terms.size());
   const std::size_t threads =
       std::max<std::size_t>(1, std::min<std::size_t>(opts.threads, terms.size()));
+  // One static-shard phase over the terms: worker w owns a contiguous,
+  // balanced term range, and the reduction below runs on the joined values
+  // in enumeration order either way.
   auto run_workers = [&](const std::function<void(std::size_t, std::size_t, std::size_t)>&
-                             body) { run_partitioned(threads, terms.size(), body); };
+                             body) {
+    sim::run_phases(
+        threads, 1, [&](std::size_t) { return terms.size(); },
+        [&](std::size_t, std::size_t w, std::size_t begin, std::size_t end) { body(w, begin, end); });
+  };
 
   std::vector<tn::ContractStats> worker_stats(threads);
   tn::ContractStats setup_stats;

@@ -93,15 +93,15 @@ class DensityBackend final : public Backend {
       return est;
     }
     est.flops = sim::density_evolution_flops(nc);
-    // rho plus the local-update scratch buffer, each 4^n elements.
-    est.peak_elems = std::size_t{2} << (2 * n);
+    // rho, updated in place, is the only 4^n buffer.
+    est.peak_elems = std::size_t{1} << (2 * n);
     check_budgets(est, opts);
     return est;
   }
 
   void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
-           const SimulateOptions&, const CostEstimate&, SimResult& out) const override {
-    out.value = sim::exact_fidelity_mm(nc, psi_bits, v_bits);
+           const SimulateOptions& opts, const CostEstimate&, SimResult& out) const override {
+    out.value = sim::exact_fidelity_mm(nc, psi_bits, v_bits, parallel_options(opts));
     out.error_bound = 0.0;
   }
 };

@@ -26,6 +26,7 @@ constexpr SiteSpec kSites[] = {
     {"exec-step-to", Kind::Timeout},
     {"sweep-worker", Kind::Fault},
     {"traj-chunk", Kind::Fault},
+    {"sim-phase", Kind::Fault},
     {"run-density", Kind::MemoryOut},
     {"run-tdd", Kind::MemoryOut},
     {"run-tn-approx", Kind::MemoryOut},

@@ -20,6 +20,7 @@
 //   exec-step-to         TimeoutError     per-step in plan/batched executors
 //   sweep-worker         FaultError       sweep queue, before item eval
 //   traj-chunk           FaultError       trajectory runners, before a chunk
+//   sim-phase            FaultError       sim::run_phases, per worker per phase
 //   run-density          MemoryOutError   simulate() before DensityBackend::run
 //   run-tdd              MemoryOutError   simulate() before TddBackend::run
 //   run-tn-approx        MemoryOutError   simulate() before TnApproxBackend::run
@@ -50,7 +51,7 @@
 namespace noisim::fault {
 
 /// Thrown by sites without a domain-specific error type (sweep-worker,
-/// traj-chunk): "an arbitrary exception escaped a worker".
+/// traj-chunk, sim-phase): "an arbitrary exception escaped a worker".
 class FaultError : public std::runtime_error {
  public:
   explicit FaultError(const std::string& what) : std::runtime_error(what) {}

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "sim/kernels.hpp"
-
 namespace noisim::sim {
 
 DensityMatrix::DensityMatrix(int n) : n_(n) {
@@ -11,6 +9,14 @@ DensityMatrix::DensityMatrix(int n) : n_(n) {
                       "DensityMatrix: qubit count out of range [1, 13]");
   rho_.assign(std::size_t{1} << (2 * n), cplx{0.0, 0.0});
   rho_[0] = cplx{1.0, 0.0};
+}
+
+DensityMatrix DensityMatrix::basis(int n, std::uint64_t bits) {
+  DensityMatrix dm(n);
+  la::detail::require(bits < dm.dim(), "DensityMatrix::basis: bits out of range");
+  dm.rho_[0] = cplx{0.0, 0.0};
+  dm.rho_[bits * dm.dim() + bits] = cplx{1.0, 0.0};
+  return dm;
 }
 
 DensityMatrix DensityMatrix::from_statevector(const Statevector& sv) {
@@ -28,54 +34,63 @@ void DensityMatrix::apply_gate(const qc::Gate& g) {
                           (!two || (g.qubits[1] >= 0 && g.qubits[1] < n_ &&
                                     g.qubits[1] != g.qubits[0])),
                       "DensityMatrix::apply_gate: qubit out of range");
-  const la::Matrix u = g.matrix();
-  if (!two) {
-    const kernels::Mat2 m = kernels::to_mat2(u);
-    kernels::conjugate1(rho_.data(), rho_.size(), m, kernels::conj(m), row_bit(g.qubits[0]),
-                        col_bit(g.qubits[0]));
-  } else {
-    const kernels::Mat4 m = kernels::to_mat4(u);
-    kernels::conjugate2(rho_.data(), rho_.size(), m, kernels::conj(m), row_bit(g.qubits[0]),
-                        row_bit(g.qubits[1]), col_bit(g.qubits[0]), col_bit(g.qubits[1]));
-  }
+  kernels::CompiledOps ops;
+  ops.add(g);
+  run(ops, 1);
 }
 
 void DensityMatrix::apply_channel(const ch::Channel& channel, int q) {
   la::detail::require(channel.dim() == 2, "DensityMatrix::apply_channel: 1-qubit channels only");
   la::detail::require(q >= 0 && q < n_, "DensityMatrix::apply_channel: qubit out of range");
-  std::vector<kernels::Mat2> kraus, kraus_conj;
-  for (const la::Matrix& k : channel.kraus()) {
-    kraus.push_back(kernels::to_mat2(k));
-    kraus_conj.push_back(kernels::conj(kraus.back()));
-  }
-  kernels::channel1(rho_.data(), rho_.size(), kraus, kraus_conj, row_bit(q), col_bit(q));
+  kernels::CompiledOps ops;
+  ops.add(channel, q);
+  run(ops, 1);
 }
 
 void DensityMatrix::apply_channel_2q(const ch::Channel& channel, int a, int b) {
   la::detail::require(channel.dim() == 4, "DensityMatrix::apply_channel_2q: need dim 4");
   la::detail::require(a >= 0 && a < n_ && b >= 0 && b < n_ && a != b,
                       "DensityMatrix::apply_channel_2q: bad qubits");
-  std::vector<kernels::Mat4> kraus, kraus_conj;
-  for (const la::Matrix& k : channel.kraus()) {
-    kraus.push_back(kernels::to_mat4(k));
-    kraus_conj.push_back(kernels::conj(kraus.back()));
-  }
-  kernels::channel2(rho_.data(), rho_.size(), kraus, kraus_conj, row_bit(a), row_bit(b),
-                    col_bit(a), col_bit(b));
+  kernels::CompiledOps ops;
+  ops.add(channel, a, b);
+  run(ops, 1);
 }
 
-void DensityMatrix::evolve(const ch::NoisyCircuit& nc) {
+void DensityMatrix::evolve(const ch::NoisyCircuit& nc, const ParallelOptions& opts) {
   la::detail::require(nc.num_qubits() == n_, "DensityMatrix::evolve: width mismatch");
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      apply_gate(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    if (noise.num_qubits() == 1)
-      apply_channel(noise.channel, noise.qubit);
+  const std::size_t threads =
+      rho_.size() >= kDensityParallelMinElems ? resolve_threads(opts.threads) : 1;
+  run(kernels::CompiledOps(nc), threads, opts.control);
+}
+
+void DensityMatrix::run(const kernels::CompiledOps& ops, std::size_t threads,
+                        const core::RunControl* control) {
+  run_phases(
+      threads, ops.size(),
+      [&](std::size_t p) { return rho_.size() / (ops[p].two ? 16 : 4); },
+      [&](std::size_t p, std::size_t, std::size_t k_begin, std::size_t k_end) {
+        apply(ops, ops[p], k_begin, k_end);
+      },
+      control);
+}
+
+void DensityMatrix::apply(const kernels::CompiledOps& ops, const kernels::CompiledOps::Op& op,
+                          std::size_t k_begin, std::size_t k_end) {
+  cplx* rho = rho_.data();
+  const int a = op.qubit_a, b = op.qubit_b;
+  if (!op.two) {
+    if (op.channel)
+      kernels::channel1(rho, ops.ops1(op), ops.conj1(op), row_bit(a), col_bit(a), k_begin,
+                        k_end);
     else
-      apply_channel_2q(noise.channel, noise.qubit, noise.qubit2);
+      kernels::conjugate1(rho, ops.ops1(op)[0], ops.conj1(op)[0], row_bit(a), col_bit(a),
+                          k_begin, k_end);
+  } else if (op.channel) {
+    kernels::channel2(rho, ops.ops2(op), ops.conj2(op), row_bit(a), row_bit(b), col_bit(a),
+                      col_bit(b), k_begin, k_end);
+  } else {
+    kernels::conjugate2(rho, ops.ops2(op)[0], ops.conj2(op)[0], row_bit(a), row_bit(b),
+                        col_bit(a), col_bit(b), k_begin, k_end);
   }
 }
 
@@ -116,14 +131,9 @@ la::Matrix DensityMatrix::to_matrix() const {
 }
 
 double exact_fidelity_mm(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                         std::uint64_t v_bits) {
-  DensityMatrix dm(nc.num_qubits());
-  if (psi_bits != 0) {
-    DensityMatrix from = DensityMatrix::from_statevector(
-        Statevector::basis(nc.num_qubits(), psi_bits));
-    dm = std::move(from);
-  }
-  dm.evolve(nc);
+                         std::uint64_t v_bits, const ParallelOptions& opts) {
+  DensityMatrix dm = DensityMatrix::basis(nc.num_qubits(), psi_bits);
+  dm.evolve(nc, opts);
   return dm.fidelity_basis(v_bits);
 }
 

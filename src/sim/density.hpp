@@ -20,10 +20,22 @@
 // op (and per Kraus operator) of that formulation on purpose: it prices
 // the same multiply-adds, and re-pricing belongs to the calibrated cost
 // model, not to a kernel change.
+//
+// Threads. evolve() compiles the circuit's operators once
+// (kernels::CompiledOps) and runs one sim::run_phases phase per op: the
+// op's blocks are cut into contiguous per-worker ranges, and a barrier
+// separates consecutive ops. Blocks of one op share no element, and each
+// block's arithmetic -- the same kernel, in the same order -- does not
+// depend on which worker runs it or where its range starts, so rho is
+// bit-identical at every thread count. Matrices below
+// kDensityParallelMinElems elements run on the calling thread: there a
+// pass is too short to pay for the barrier.
 
 #include <cstdint>
 
 #include "channels/noisy_circuit.hpp"
+#include "sim/kernels.hpp"
+#include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
 
 namespace noisim::sim {
@@ -32,6 +44,9 @@ class DensityMatrix {
  public:
   /// |0..0><0..0| on n qubits (n <= 13 to bound memory at ~1 GiB).
   explicit DensityMatrix(int n);
+  /// |bits><bits| for a computational basis state, qubit 0's bit most
+  /// significant.
+  static DensityMatrix basis(int n, std::uint64_t bits);
   static DensityMatrix from_statevector(const Statevector& sv);
 
   int num_qubits() const { return n_; }
@@ -43,8 +58,12 @@ class DensityMatrix {
   void apply_channel(const ch::Channel& channel, int q);
   /// 2-qubit channel on (a, b); a indexes the Kraus operators' high bit.
   void apply_channel_2q(const ch::Channel& channel, int a, int b);
-  /// Run a whole noisy circuit.
-  void evolve(const ch::NoisyCircuit& nc);
+  /// Run a whole noisy circuit on opts.threads workers (0 = NOISIM_THREADS,
+  /// else the hardware count; see the header comment). opts.control is
+  /// polled before every op: a cancel raises CancelledError and an expired
+  /// deadline TimeoutError, and rho is then left part-way. chunk_size is
+  /// unused.
+  void evolve(const ch::NoisyCircuit& nc, const ParallelOptions& opts = {});
 
   cplx element(std::uint64_t row, std::uint64_t col) const;
   double trace() const;
@@ -60,6 +79,13 @@ class DensityMatrix {
   std::size_t row_bit(int q) const { return std::size_t{1} << (2 * n_ - 1 - q); }
   std::size_t col_bit(int q) const { return std::size_t{1} << (n_ - 1 - q); }
 
+  /// Run every op of `ops` in order on `threads` workers.
+  void run(const kernels::CompiledOps& ops, std::size_t threads,
+           const core::RunControl* control = nullptr);
+  /// Op `op` on blocks [k_begin, k_end).
+  void apply(const kernels::CompiledOps& ops, const kernels::CompiledOps::Op& op,
+             std::size_t k_begin, std::size_t k_end);
+
   int n_ = 0;
   std::vector<cplx> rho_;  // row-major, size 4^n
 };
@@ -67,10 +93,15 @@ class DensityMatrix {
 /// End-to-end exact value of <v|E(|psi><psi|)|v> for basis psi/v
 /// (the reference used by the accuracy experiments).
 double exact_fidelity_mm(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                         std::uint64_t v_bits);
+                         std::uint64_t v_bits, const ParallelOptions& opts = {});
 
 /// Widest circuit DensityMatrix accepts (memory bounded at ~1 GiB).
 inline constexpr int kDensityMaxQubits = 13;
+
+/// Smallest rho, in elements, that evolve() splits across threads
+/// (4^6: 6 qubits). Measured on a 4-thread Xeon with hf_vqe circuits: 4
+/// threads ran 1.05x the serial speed at 5 qubits and 2.3x at 6.
+inline constexpr std::size_t kDensityParallelMinElems = std::size_t{1} << 12;
 
 /// Plan-time flop model of DensityMatrix::evolve, in modeled complex
 /// multiply-adds: every op touches all 4^n elements twice (row- and

@@ -89,11 +89,11 @@ Block<16, 4> block2_geometry(std::size_t row_a, std::size_t row_b, std::size_t c
   return b;
 }
 
-// One pass of `fn(local block)` over every density block.
+// `fn(local block)` on density blocks [k_begin, k_end).
 template <std::size_t Elems, std::size_t Bits, typename Fn>
-void for_each_block(cplx* rho, std::size_t size, const Block<Elems, Bits>& g, Fn&& fn) {
-  const std::size_t blocks = size / Elems;
-  for (std::size_t k = 0; k < blocks; ++k) {
+void for_each_block(cplx* rho, const Block<Elems, Bits>& g, std::size_t k_begin,
+                    std::size_t k_end, Fn&& fn) {
+  for (std::size_t k = k_begin; k < k_end; ++k) {
     cplx* base = rho + insert_zeros(k, g.bits);
     cplx y[Elems];
     for (std::size_t t = 0; t < Elems; ++t) y[t] = base[g.offset[t]];
@@ -134,8 +134,57 @@ Mat conj_entries(Mat m) {
 
 Mat2 to_mat2(const la::Matrix& m) { return from_matrix<Mat2>(m, 2, "kernels::to_mat2: need 2x2"); }
 Mat4 to_mat4(const la::Matrix& m) { return from_matrix<Mat4>(m, 4, "kernels::to_mat4: need 4x4"); }
-Mat2 conj(const Mat2& m) { return conj_entries(m); }
-Mat4 conj(const Mat4& m) { return conj_entries(m); }
+
+CompiledOps::CompiledOps(const ch::NoisyCircuit& nc) {
+  ops_.reserve(nc.ops().size());
+  for (const ch::Op& op : nc.ops()) {
+    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
+      add(*g);
+      continue;
+    }
+    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
+    add(noise.channel, noise.qubit, noise.qubit2);
+  }
+}
+
+CompiledOps::CompiledOps(std::span<const qc::Gate> gates) {
+  ops_.reserve(gates.size());
+  for (const qc::Gate& g : gates) add(g);
+}
+
+void CompiledOps::add(const qc::Gate& g) {
+  const bool two = g.num_qubits() == 2;
+  ops_.push_back(Op{two, false, g.qubits[0], two ? g.qubits[1] : 0, two ? m2_.size() : m1_.size(),
+                    0});
+  push(g.matrix());
+}
+
+void CompiledOps::add(const ch::Channel& channel, int qubit_a, int qubit_b) {
+  const bool two = qubit_b >= 0;
+  ops_.push_back(Op{two, true, qubit_a, two ? qubit_b : 0, two ? m2_.size() : m1_.size(), 0});
+  for (const la::Matrix& k : channel.kraus()) push(k);
+}
+
+void CompiledOps::push(const la::Matrix& m) {
+  Op& op = ops_.back();
+  if (op.two) {
+    m2_.push_back(to_mat4(m));
+    c2_.push_back(conj_entries(m2_.back()));
+  } else {
+    m1_.push_back(to_mat2(m));
+    c1_.push_back(conj_entries(m1_.back()));
+  }
+  ++op.count;
+}
+
+void apply(cplx* v, int n, const CompiledOps& ops, const CompiledOps::Op& op, std::size_t k) {
+  const std::size_t size = std::size_t{1} << n;
+  auto bit = [n](int q) { return std::size_t{1} << (n - 1 - q); };
+  if (op.two)
+    apply2(v, size, ops.ops2(op)[k], bit(op.qubit_a), bit(op.qubit_b));
+  else
+    apply1(v, size, ops.ops1(op)[k], bit(op.qubit_a));
+}
 
 void apply1(cplx* v, std::size_t size, const Mat2& matrix, std::size_t bit) {
   const Mat2 m = matrix;  // a local copy cannot alias v, so it stays in registers
@@ -182,28 +231,28 @@ double norm2(const cplx* v, std::size_t size) {
   return s;
 }
 
-void conjugate1(cplx* rho, std::size_t size, const Mat2& m, const Mat2& mc, std::size_t row_bit,
-                std::size_t col_bit) {
-  for_each_block(rho, size, block1_geometry(row_bit, col_bit),
+void conjugate1(cplx* rho, const Mat2& m, const Mat2& mc, std::size_t row_bit,
+                std::size_t col_bit, std::size_t k_begin, std::size_t k_end) {
+  for_each_block(rho, block1_geometry(row_bit, col_bit), k_begin, k_end,
                  [&](cplx* y) { conjugate_block(m, mc, y); });
 }
 
-void conjugate2(cplx* rho, std::size_t size, const Mat4& m, const Mat4& mc, std::size_t row_a,
-                std::size_t row_b, std::size_t col_a, std::size_t col_b) {
-  for_each_block(rho, size, block2_geometry(row_a, row_b, col_a, col_b),
+void conjugate2(cplx* rho, const Mat4& m, const Mat4& mc, std::size_t row_a, std::size_t row_b,
+                std::size_t col_a, std::size_t col_b, std::size_t k_begin, std::size_t k_end) {
+  for_each_block(rho, block2_geometry(row_a, row_b, col_a, col_b), k_begin, k_end,
                  [&](cplx* y) { conjugate_block(m, mc, y); });
 }
 
-void channel1(cplx* rho, std::size_t size, std::span<const Mat2> kraus,
-              std::span<const Mat2> kraus_conj, std::size_t row_bit, std::size_t col_bit) {
-  for_each_block(rho, size, block1_geometry(row_bit, col_bit),
+void channel1(cplx* rho, std::span<const Mat2> kraus, std::span<const Mat2> kraus_conj,
+              std::size_t row_bit, std::size_t col_bit, std::size_t k_begin, std::size_t k_end) {
+  for_each_block(rho, block1_geometry(row_bit, col_bit), k_begin, k_end,
                  [&](cplx* y) { kraus_sum<4>(y, kraus, kraus_conj); });
 }
 
-void channel2(cplx* rho, std::size_t size, std::span<const Mat4> kraus,
-              std::span<const Mat4> kraus_conj, std::size_t row_a, std::size_t row_b,
-              std::size_t col_a, std::size_t col_b) {
-  for_each_block(rho, size, block2_geometry(row_a, row_b, col_a, col_b),
+void channel2(cplx* rho, std::span<const Mat4> kraus, std::span<const Mat4> kraus_conj,
+              std::size_t row_a, std::size_t row_b, std::size_t col_a, std::size_t col_b,
+              std::size_t k_begin, std::size_t k_end) {
+  for_each_block(rho, block2_geometry(row_a, row_b, col_a, col_b), k_begin, k_end,
                  [&](cplx* y) { kraus_sum<16>(y, kraus, kraus_conj); });
 }
 

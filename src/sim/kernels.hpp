@@ -27,7 +27,9 @@
 #include <array>
 #include <cstddef>
 #include <span>
+#include <vector>
 
+#include "channels/noisy_circuit.hpp"
 #include "linalg/matrix.hpp"
 
 namespace noisim::sim::kernels {
@@ -39,9 +41,49 @@ using Mat4 = std::array<cplx, 16>;  // row-major 4x4
 /// any other shape.
 Mat2 to_mat2(const la::Matrix& m);
 Mat4 to_mat4(const la::Matrix& m);
-/// Entry-wise conjugate (the column-side factor of rho -> M rho M^dag).
-Mat2 conj(const Mat2& m);
-Mat4 conj(const Mat4& m);
+
+/// A circuit's ops compiled once into kernel matrices -- the one place
+/// the state-vector, density and trajectory engines turn a qc::Gate or a
+/// channel's la::Matrix Kraus operators into Mat2/Mat4. Op i holds its
+/// operators (a gate's matrix, or a channel's Kraus operators in order)
+/// and their entry-wise conjugates in flat arrays.
+class CompiledOps {
+ public:
+  struct Op {
+    bool two = false;      // acts on two qubits
+    bool channel = false;  // Kraus operators summed, not a gate
+    int qubit_a = 0;       // indexes the operators' high-order bit
+    int qubit_b = 0;       // second qubit of a 2-qubit op
+    std::size_t first = 0, count = 0;  // operator range in ops1()/ops2()
+  };
+
+  CompiledOps() = default;
+  explicit CompiledOps(const ch::NoisyCircuit& nc);
+  explicit CompiledOps(std::span<const qc::Gate> gates);
+
+  void add(const qc::Gate& g);
+  /// A 1- (qubit_b < 0) or 2-qubit channel; throws LinalgError when a Kraus
+  /// operator's shape does not match.
+  void add(const ch::Channel& channel, int qubit_a, int qubit_b = -1);
+
+  std::size_t size() const { return ops_.size(); }
+  const Op& operator[](std::size_t i) const { return ops_[i]; }
+  std::span<const Mat2> ops1(const Op& op) const { return {m1_.data() + op.first, op.count}; }
+  std::span<const Mat2> conj1(const Op& op) const { return {c1_.data() + op.first, op.count}; }
+  std::span<const Mat4> ops2(const Op& op) const { return {m2_.data() + op.first, op.count}; }
+  std::span<const Mat4> conj2(const Op& op) const { return {c2_.data() + op.first, op.count}; }
+
+ private:
+  void push(const la::Matrix& m);  // one operator of the op being added
+
+  std::vector<Op> ops_;
+  std::vector<Mat2> m1_, c1_;
+  std::vector<Mat4> m2_, c2_;
+};
+
+/// Apply operator k of `op` to an n-qubit state vector (qubit 0 is the
+/// most significant index bit).
+void apply(cplx* v, int n, const CompiledOps& ops, const CompiledOps::Op& op, std::size_t k = 0);
 
 /// v -> m v on the pair of amplitudes differing in `bit`.
 void apply1(cplx* v, std::size_t size, const Mat2& m, std::size_t bit);
@@ -55,19 +97,22 @@ cplx expectation1(const cplx* v, std::size_t size, const Mat2& m, std::size_t bi
 /// sum_i |v_i|^2 in index order.
 double norm2(const cplx* v, std::size_t size);
 
-/// rho -> m rho m^dag on a row-major density matrix of `size` elements,
-/// one pass over 2x2 (1-qubit) / 4x4 (2-qubit) blocks: the row transform by
-/// m, then the column transform by conj(m) (`mc`), per block.
-void conjugate1(cplx* rho, std::size_t size, const Mat2& m, const Mat2& mc, std::size_t row_bit,
-                std::size_t col_bit);
-void conjugate2(cplx* rho, std::size_t size, const Mat4& m, const Mat4& mc, std::size_t row_a,
-                std::size_t row_b, std::size_t col_a, std::size_t col_b);
-/// rho -> sum_k E_k rho E_k^dag in one block pass, summed from +0 in Kraus
-/// order; `kraus_conj[k]` is conj(kraus[k]).
-void channel1(cplx* rho, std::size_t size, std::span<const Mat2> kraus,
-              std::span<const Mat2> kraus_conj, std::size_t row_bit, std::size_t col_bit);
-void channel2(cplx* rho, std::size_t size, std::span<const Mat4> kraus,
-              std::span<const Mat4> kraus_conj, std::size_t row_a, std::size_t row_b,
-              std::size_t col_a, std::size_t col_b);
+/// rho -> m rho m^dag on a row-major density matrix, over its 2x2
+/// (1-qubit) / 4x4 (2-qubit) blocks [k_begin, k_end): the row transform by
+/// m, then the column transform by conj(m) (`mc`), per block. Block k
+/// holds the elements whose index, with the target bits removed, is k; a
+/// matrix of `size` elements has size / 4 (size / 16) blocks, and blocks
+/// share no element, so disjoint ranges may run concurrently.
+void conjugate1(cplx* rho, const Mat2& m, const Mat2& mc, std::size_t row_bit,
+                std::size_t col_bit, std::size_t k_begin, std::size_t k_end);
+void conjugate2(cplx* rho, const Mat4& m, const Mat4& mc, std::size_t row_a, std::size_t row_b,
+                std::size_t col_a, std::size_t col_b, std::size_t k_begin, std::size_t k_end);
+/// rho -> sum_k E_k rho E_k^dag on blocks [k_begin, k_end), summed from +0
+/// in Kraus order; `kraus_conj[k]` is conj(kraus[k]).
+void channel1(cplx* rho, std::span<const Mat2> kraus, std::span<const Mat2> kraus_conj,
+              std::size_t row_bit, std::size_t col_bit, std::size_t k_begin, std::size_t k_end);
+void channel2(cplx* rho, std::span<const Mat4> kraus, std::span<const Mat4> kraus_conj,
+              std::size_t row_a, std::size_t row_b, std::size_t col_a, std::size_t col_b,
+              std::size_t k_begin, std::size_t k_end);
 
 }  // namespace noisim::sim::kernels

@@ -1,6 +1,8 @@
 #include "sim/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <future>
 #include <string>
@@ -296,6 +298,55 @@ std::vector<TrajectoryResult> run_trajectories_sharded(
       out[o].std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
   }
   return out;
+}
+
+void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items_of,
+                const PhaseBody& body, const core::RunControl* control) {
+  std::size_t widest = 0;
+  for (std::size_t p = 0; p < phases; ++p) widest = std::max(widest, items_of(p));
+  threads = std::max<std::size_t>(1, std::min(threads, widest));
+
+  AbortGate gate;
+  // Written only by the barrier's completion step, which runs while every
+  // worker is blocked in it, so all workers read the same value after it.
+  bool stop = false;
+  std::barrier sync(static_cast<std::ptrdiff_t>(threads),
+                    [&]() noexcept { stop = gate.stopping(); });
+  auto worker = [&](std::size_t w) {
+    for (std::size_t p = 0; p < phases; ++p) {
+      if (p > 0) {
+        sync.arrive_and_wait();
+        if (stop) return;
+      }
+      try {
+        if (control) control->poll();
+        fault::poke("sim-phase");
+        const std::size_t items = items_of(p);
+        const std::size_t base = items / threads, extra = items % threads;
+        const std::size_t begin = w * base + std::min(w, extra);
+        const std::size_t end = begin + base + (w < extra ? 1 : 0);
+        if (begin < end) body(p, w, begin, end);
+      } catch (...) {
+        gate.record();
+      }
+    }
+  };
+
+  // At one worker this is the inline path: no thread, and a one-seat
+  // barrier that never waits.
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  try {
+    for (std::size_t w = 1; w < threads; ++w) pool.emplace_back(worker, w);
+  } catch (...) {
+    // A worker that never started can never arrive: drop its seat, and let
+    // the recorded error stop the started ones after their first phase.
+    gate.record();
+    for (std::size_t w = pool.size() + 1; w < threads; ++w) sync.arrive_and_drop();
+  }
+  worker(0);
+  for (std::thread& t : pool) t.join();
+  gate.rethrow();
 }
 
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,

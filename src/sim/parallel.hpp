@@ -158,4 +158,37 @@ std::vector<TrajectoryResult> run_trajectories_sharded(
     std::uint64_t seed, const ShardChunkSamplerFactory& make_sampler,
     const ParallelOptions& opts = {});
 
+/// Item count of one phase of run_phases.
+using PhaseItems = std::function<std::size_t(std::size_t phase)>;
+/// Work on items [begin, end) of `phase`, run by worker `worker`.
+using PhaseBody = std::function<void(std::size_t phase, std::size_t worker, std::size_t begin,
+                                     std::size_t end)>;
+
+/// Run `phases` phases of independent items, in order, on `threads`
+/// workers -- a static-shard runner for passes whose items may be split
+/// anywhere (the density engine's blocks, Algorithm 1's terms):
+///
+///  * `threads` is used as given (no env/hardware resolution); it is
+///    clamped to the largest phase's item count. At one worker everything
+///    runs inline on the calling thread and no thread is started; callers
+///    whose passes are too small to be worth splitting pass 1.
+///  * otherwise threads - 1 std::threads are started once per call and the
+///    caller is worker 0. Phase p's items_of(p) items are cut into
+///    `threads` contiguous ranges whose sizes differ by at most one; worker
+///    w always owns range w, so the item-to-worker map is a pure function
+///    of (items, threads). body runs only for non-empty ranges; every
+///    phase's items are done before any item of the next one starts (a
+///    std::barrier separates phases).
+///  * each worker polls `control` and pokes the `sim-phase` fault site at
+///    the start of every phase, before its body. A worker whose poll, poke
+///    or body throws records the exception and still arrives at the
+///    barrier; the barrier's completion step then stops every worker
+///    before the next phase, so all of them leave together without
+///    deadlock. The first exception is rethrown after every worker joined.
+///
+/// Results are bit-identical at any thread count whenever each item's
+/// arithmetic does not depend on which worker runs it.
+void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items_of,
+                const PhaseBody& body, const core::RunControl* control = nullptr);
+
 }  // namespace noisim::sim

@@ -49,7 +49,8 @@ void Statevector::apply_gate(const qc::Gate& g) {
 
 void Statevector::apply_circuit(const qc::Circuit& c) {
   la::detail::require(c.num_qubits() == n_, "apply_circuit: width mismatch");
-  for (const qc::Gate& g : c.gates()) apply_gate(g);
+  const kernels::CompiledOps ops(c.gates());
+  for (std::size_t i = 0; i < ops.size(); ++i) kernels::apply(amps_.data(), n_, ops, ops[i]);
 }
 
 cplx Statevector::inner(const Statevector& other) const {

@@ -33,53 +33,25 @@ SvProgram::SvProgram(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::ui
     : n_(nc.num_qubits()), psi_bits_(psi_bits), v_bits_(v_bits) {
   la::detail::require(n_ > 0 && n_ <= 26, "SvProgram: qubit count out of range [1, 26]");
   la::detail::require(psi_bits < dim() && v_bits < dim(), "SvProgram: basis state out of range");
-  auto bit = [this](int q) { return std::size_t{1} << (n_ - 1 - q); };
-  segment_begin_.push_back(0);
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      Step step;
-      step.two = g->num_qubits() == 2;
-      step.bit_a = bit(g->qubits[0]);
-      if (step.two) {
-        step.bit_b = bit(g->qubits[1]);
-        step.m2 = kernels::to_mat4(g->matrix());
-      } else {
-        step.m1 = kernels::to_mat2(g->matrix());
-      }
-      steps_.push_back(step);
+  ops_ = kernels::CompiledOps(nc);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const ch::NoiseOp* noise = std::get_if<ch::NoiseOp>(&nc.ops()[i]);
+    if (!noise) continue;
+    site_op_.push_back(i);
+    std::vector<kernels::Mat2>& born = born1_.emplace_back();
+    if (ops_[i].two) {
+      two_qubit_noise_ = true;
       continue;
     }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    const auto& kraus = noise.channel.kraus();
-    Site site;
-    site.two = noise.num_qubits() == 2;
-    site.bit_a = bit(noise.qubit);
-    site.kraus_count = kraus.size();
-    if (site.two) {
-      site.bit_b = bit(noise.qubit2);
-      two_qubit_noise_ = true;
-      for (const la::Matrix& k : kraus) site.kraus2.push_back(kernels::to_mat4(k));
-    } else {
-      for (const la::Matrix& k : kraus) {
-        site.kraus1.push_back(kernels::to_mat2(k));
-        site.born1.push_back(kernels::to_mat2(k.adjoint() * k));
-      }
-    }
-    sites_.push_back(std::move(site));
-    segment_begin_.push_back(steps_.size());
+    for (const la::Matrix& k : noise->channel.kraus())
+      born.push_back(kernels::to_mat2(k.adjoint() * k));
   }
-  segment_begin_.push_back(steps_.size());
+  site_op_.push_back(ops_.size());
 }
 
 void SvProgram::run_segment(cplx* state, std::size_t segment) const {
-  const std::size_t size = dim();
-  for (std::size_t i = segment_begin_[segment]; i < segment_begin_[segment + 1]; ++i) {
-    const Step& s = steps_[i];
-    if (s.two)
-      kernels::apply2(state, size, s.m2, s.bit_a, s.bit_b);
-    else
-      kernels::apply1(state, size, s.m1, s.bit_a);
-  }
+  const std::size_t begin = segment == 0 ? 0 : site_op_[segment - 1] + 1;
+  for (std::size_t i = begin; i < site_op_[segment]; ++i) kernels::apply(state, n_, ops_, ops_[i]);
 }
 
 void SvProgram::start(std::vector<cplx>& state) const {
@@ -88,29 +60,25 @@ void SvProgram::start(std::vector<cplx>& state) const {
   run_segment(state.data(), 0);
 }
 
-double SvProgram::born(const cplx* state, std::size_t site, std::size_t k, cplx* scratch) const {
-  const Site& s = sites_[site];
-  if (!s.two) return kernels::expectation1(state, dim(), s.born1[k], s.bit_a).real();
-  kernels::apply2(state, scratch, dim(), s.kraus2[k], s.bit_a, s.bit_b);
+double SvProgram::born(const cplx* state, std::size_t j, std::size_t k, cplx* scratch) const {
+  const kernels::CompiledOps::Op& s = site(j);
+  if (!s.two) return kernels::expectation1(state, dim(), born1_[j][k], bit(s.qubit_a)).real();
+  kernels::apply2(state, scratch, dim(), ops_.ops2(s)[k], bit(s.qubit_a), bit(s.qubit_b));
   return kernels::norm2(scratch, dim());
 }
 
-void SvProgram::advance(cplx* state, std::size_t site, std::size_t k, double p) const {
-  const Site& s = sites_[site];
-  const std::size_t size = dim();
-  if (s.two)
-    kernels::apply2(state, size, s.kraus2[k], s.bit_a, s.bit_b);
-  else
-    kernels::apply1(state, size, s.kraus1[k], s.bit_a);
+void SvProgram::advance(cplx* state, std::size_t j, std::size_t k, double p) const {
+  const kernels::CompiledOps::Op& s = site(j);
+  kernels::apply(state, n_, ops_, s, k);
   if (p > 0.0) {
     // A general 2x2 pass, not a scalar multiply: the 0 * b terms decide
     // the sign of zero amplitudes, which must match a plain
     // diag(scale, scale) application bit for bit.
     const cplx scale{1.0 / std::sqrt(p), 0.0};
-    kernels::apply1(state, size, kernels::Mat2{scale, cplx{0.0, 0.0}, cplx{0.0, 0.0}, scale},
-                    s.bit_a);
+    kernels::apply1(state, dim(), kernels::Mat2{scale, cplx{0.0, 0.0}, cplx{0.0, 0.0}, scale},
+                    bit(s.qubit_a));
   }
-  run_segment(state, site + 1);
+  run_segment(state, j + 1);
 }
 
 SvSampler::SvSampler(const SvProgram& prog, std::size_t max_levels)
@@ -153,7 +121,7 @@ double SvSampler::operator()(std::mt19937_64& rng) {
   std::uniform_real_distribution<double> unif(0.0, 1.0);
   auto choose = [&](std::size_t level, const cplx* state) {
     Level& l = path_[level];
-    return choose_kraus(unif(rng), prog.sites_[level].kraus_count, l.probs,
+    return choose_kraus(unif(rng), prog.site(level).count, l.probs,
                         [&](std::size_t k) {
                           return prog.born(state ? state : state_at(level), level, k,
                                            scratch_.data());

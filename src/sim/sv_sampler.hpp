@@ -3,11 +3,12 @@
 // circuit compiled once into a flat state-vector program, and a per-worker
 // sampler that reuses the work shared between consecutive trajectories.
 //
-// SvProgram holds the circuit's gate matrices, Kraus operators and
-// 1-qubit Born operators E_k^dag E_k (formed as the la::Matrix product
-// k.adjoint() * k, so their bits match a direct evaluation) as hoisted
-// kernel matrices (sim/kernels.hpp), grouped into segments: segment j is
-// the run of gates before noise site j, segment sites() the trailing gates.
+// SvProgram holds the circuit's ops compiled once (kernels::CompiledOps:
+// gate matrices and Kraus operators) plus the 1-qubit Born operators
+// E_k^dag E_k (formed as the la::Matrix product k.adjoint() * k, so their
+// bits match a direct evaluation). The ops fall into segments: segment j
+// is the run of gates before noise site j, segment sites() the trailing
+// gates.
 //
 // SvSampler exploits that at realistic noise rates almost every draw picks
 // the same (no-jump) Kraus operator, so consecutive trajectories share a
@@ -52,44 +53,33 @@ class SvProgram {
 
   int num_qubits() const { return n_; }
   std::size_t dim() const { return std::size_t{1} << n_; }
-  std::size_t sites() const { return sites_.size(); }
+  std::size_t sites() const { return site_op_.size() - 1; }
 
  private:
-  struct Step {
-    bool two = false;
-    std::size_t bit_a = 0, bit_b = 0;
-    kernels::Mat2 m1{};
-    kernels::Mat4 m2{};
-  };
-  struct Site {
-    bool two = false;
-    std::size_t bit_a = 0, bit_b = 0;  // bit_a: the channel's first qubit
-    std::size_t kraus_count = 0;
-    std::vector<kernels::Mat2> kraus1, born1;  // 1-qubit sites
-    std::vector<kernels::Mat4> kraus2;         // 2-qubit sites
-  };
-
   friend class SvSampler;
 
   /// state := the pre-noise state at site 0 (|psi> through segment 0).
   void start(std::vector<cplx>& state) const;
-  /// Born probability ||E_k psi||^2 of site `site`'s operator k; `scratch`
-  /// (dim() elements) is used by 2-qubit sites.
-  double born(const cplx* state, std::size_t site, std::size_t k, cplx* scratch) const;
-  /// Apply operator k of site `site` (Born probability p), renormalize by
+  /// Born probability ||E_k psi||^2 of noise site j's operator k;
+  /// `scratch` (dim() elements) is used by 2-qubit sites.
+  double born(const cplx* state, std::size_t j, std::size_t k, cplx* scratch) const;
+  /// Apply operator k of noise site j (Born probability p), renormalize by
   /// 1/sqrt(p) when p > 0, then run the next segment: the pre-noise state
-  /// at site + 1 (or the final state after the last site).
-  void advance(cplx* state, std::size_t site, std::size_t k, double p) const;
+  /// at site j + 1 (or the final state after the last site).
+  void advance(cplx* state, std::size_t j, std::size_t k, double p) const;
   /// The sample value |<v|state>|^2 of a final state.
   double leaf(const cplx* state) const { return std::norm(state[v_bits_]); }
   void run_segment(cplx* state, std::size_t segment) const;
+  /// Noise site j's op.
+  const kernels::CompiledOps::Op& site(std::size_t j) const { return ops_[site_op_[j]]; }
+  std::size_t bit(int q) const { return std::size_t{1} << (n_ - 1 - q); }
 
   int n_ = 0;
   std::uint64_t psi_bits_ = 0, v_bits_ = 0;
   bool two_qubit_noise_ = false;
-  std::vector<Step> steps_;
-  std::vector<std::size_t> segment_begin_;  // sites() + 2 offsets into steps_
-  std::vector<Site> sites_;
+  kernels::CompiledOps ops_;               // every op, in circuit order
+  std::vector<std::size_t> site_op_;       // op index of each site, then ops_.size()
+  std::vector<std::vector<kernels::Mat2>> born1_;  // per site; empty for 2-qubit sites
 };
 
 class SvSampler {

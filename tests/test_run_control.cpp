@@ -3,12 +3,13 @@
 // inside the plan executor (a deadline that expires AFTER compile throws
 // from execute), cooperative cancellation of the trajectory runners and the
 // Algorithm-1 sweeps, xeb_sweep's salvage contract (valid outputs bitwise
-// equal to the uncancelled run), the never-fires determinism contract, and
-// NOISIM_THREADS validation.
+// equal to the uncancelled run), the density backend's threads and control,
+// the never-fires determinism contract, and NOISIM_THREADS validation.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "core/approx.hpp"
 #include "core/backend.hpp"
 #include "core/run_control.hpp"
+#include "fault/fault.hpp"
 #include "sim/parallel.hpp"
 #include "support/env.hpp"
 #include "tn/contractor.hpp"
@@ -300,6 +302,45 @@ TEST(RunControl, SimulatePropagatesCancelWithoutEscalating) {
   EXPECT_EQ(guarded.value, bare.value);
   EXPECT_EQ(guarded.backend, bare.backend);
   EXPECT_TRUE(guarded.escalations.empty());
+}
+
+TEST(RunControl, DensityBackendHonorsThreadsAndControl) {
+  // 8 qubits: above sim::kDensityParallelMinElems, so 4 threads split rho.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::hf_vqe(8, 5), 6, bench::depolarizing_noise(0.05), 3);
+  SimulateOptions opts;
+  opts.force_backend = BackendKind::Density;
+  opts.threads = 1;
+  const SimResult serial = simulate(nc, 0, 0, opts);
+  ASSERT_EQ(serial.backend, BackendKind::Density);
+  opts.threads = 4;
+  const SimResult parallel = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(std::memcmp(&parallel.value, &serial.value, sizeof(double)), 0);
+
+  const Backend* density = nullptr;
+  for (const Backend* b : default_backends())
+    if (b->kind() == BackendKind::Density) density = b;
+  ASSERT_NE(density, nullptr);
+  const CostEstimate est = density->estimate(nc, 0, 0, opts);
+  RunControl c;
+  opts.control = &c;
+  // Count sim-phase pokes (one per worker per op) without ever firing.
+  fault::arm("sim-phase", std::uint64_t{1} << 40);
+  SimResult out;
+  c.request_cancel();
+  EXPECT_THROW(density->run(nc, 0, 0, opts, est, out), CancelledError);
+  c.reset();
+  c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_THROW(density->run(nc, 0, 0, opts, est, out), TimeoutError);
+  // Both stopped at their first op's poll, before any op ran.
+  EXPECT_EQ(fault::hits("sim-phase"), 0u);
+  fault::disarm_all();
+
+  // The process stays reusable, and a control that never fires changes
+  // nothing.
+  c.reset();
+  const SimResult again = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(std::memcmp(&again.value, &serial.value, sizeof(double)), 0);
 }
 
 // --- NOISIM_THREADS validation -------------------------------------------

@@ -1,16 +1,22 @@
 // Bitwise differential suite for the sim engines: the fused kernel layer
-// (sim/kernels.hpp), the one-pass density engine and the checkpointed
-// trajectory sampler must reproduce the straightforward implementations in
-// sim_reference.hpp to the last bit -- compared with memcmp, so signed
-// zeros count too.
+// (sim/kernels.hpp), the one-pass density engine at every thread count and
+// the checkpointed trajectory sampler must reproduce the straightforward
+// implementations in sim_reference.hpp to the last bit -- compared with
+// memcmp, so signed zeros count too. The phased runner under the density
+// engine (sim::run_phases) is covered here as well.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <utility>
 
+#include "bench_support/generators.hpp"
 #include "channels/catalog.hpp"
+#include "core/approx.hpp"
+#include "fault/fault.hpp"
 #include "linalg/qr.hpp"
 #include "sim/density.hpp"
 #include "sim/sv_sampler.hpp"
@@ -28,6 +34,13 @@ bool same_bits(const cplx* a, const cplx* b, std::size_t n) {
 
 bool same_bits(const TrajectoryResult& a, const TrajectoryResult& b) {
   return a.samples == b.samples && same_bits(a.mean, b.mean) && same_bits(a.std_error, b.std_error);
+}
+
+/// a := max(a, v), atomically.
+void raise_to(std::atomic<std::size_t>& a, std::size_t v) {
+  std::size_t m = a.load();
+  while (v > m && !a.compare_exchange_weak(m, v)) {
+  }
 }
 
 la::Matrix random_matrix(std::size_t dim, std::mt19937_64& rng) {
@@ -199,6 +212,201 @@ TEST(KernelDifferential, DensityEvolutionMatchesReference) {
 
     const std::uint64_t v = (seed * 5) % dm.dim();
     EXPECT_TRUE(same_bits(exact_fidelity_mm(nc, psi, v), ref[v * dm.dim() + v].real()));
+  }
+}
+
+TEST(KernelDifferential, ApplyCircuitMatchesReference) {
+  const ch::NoisyCircuit nc = random_noisy_circuit(5, 40, 21);
+  const qc::Circuit gates = nc.gates_only();
+  Statevector sv = Statevector::basis(5, 0b10110);
+  sv.apply_circuit(gates);
+  reference::State ref = reference::basis(5, 0b10110);
+  for (const qc::Gate& g : gates.gates()) reference::apply_gate_sv(ref, 5, g);
+  EXPECT_TRUE(same_bits(sv.data(), ref.data(), ref.size()));
+}
+
+// Above kDensityParallelMinElems, so every thread count > 1 really splits
+// the blocks; 3 threads never divide the (power-of-two) block counts.
+TEST(DensityThreads, EvolveIsBitIdenticalAtEveryThreadCount) {
+  for (const int n : {7, 9}) {
+    ASSERT_GE(std::size_t{1} << (2 * n), kDensityParallelMinElems);
+    // Kept short at n = 9 (a 2^18-element rho): the sanitizer jobs run it.
+    const ch::NoisyCircuit nc = random_noisy_circuit(n, n == 7 ? 40 : 6, 300 + n);
+    ASSERT_GT(nc.noise_count(), 0u);
+    const std::uint64_t psi = (std::uint64_t{1} << n) - 3;
+    reference::State ref = reference::density_basis(n, psi);
+    reference::density_evolve(ref, nc);
+    const std::uint64_t v = 5;
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      DensityMatrix dm = DensityMatrix::basis(n, psi);
+      dm.evolve(nc, ParallelOptions{threads});
+      const la::Matrix got = dm.to_matrix();
+      ASSERT_TRUE(same_bits(got.data(), ref.data(), ref.size()))
+          << "n " << n << " threads " << threads;
+      if (n == 7) {
+        EXPECT_TRUE(same_bits(exact_fidelity_mm(nc, psi, v, ParallelOptions{threads}),
+                              ref[v * dm.dim() + v].real()))
+            << "threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(DensityThreads, WorkerFaultUnwindsWithoutDeadlockAndLeavesNoTrace) {
+  const int n = 7;
+  const ch::NoisyCircuit nc = random_noisy_circuit(n, 30, 17);
+  reference::State ref = reference::density_basis(n, 9);
+  reference::density_evolve(ref, nc);
+  for (const std::uint64_t nth : {1, 6, 4 * 10 + 3}) {
+    fault::disarm_all();
+    fault::arm("sim-phase", nth);
+    DensityMatrix dm = DensityMatrix::basis(n, 9);
+    EXPECT_THROW(dm.evolve(nc, ParallelOptions{4}), fault::FaultError) << "nth " << nth;
+    EXPECT_TRUE(fault::fired("sim-phase"));
+    // Every worker leaves in the phase that failed: at most one more poke
+    // per sibling, never a further phase.
+    EXPECT_EQ(fault::hits("sim-phase"), (nth + 3) / 4 * 4) << "nth " << nth;
+    fault::disarm_all();
+    DensityMatrix again = DensityMatrix::basis(n, 9);
+    again.evolve(nc, ParallelOptions{4});
+    const la::Matrix got = again.to_matrix();
+    EXPECT_TRUE(same_bits(got.data(), ref.data(), ref.size())) << "nth " << nth;
+  }
+}
+
+// run_phases on its own: every item of every phase exactly once, phases in
+// order, static ranges, and the inline / clamped corner cases.
+TEST(RunPhases, EveryItemOncePhasesInOrder) {
+  const std::vector<std::size_t> items = {7, 0, 1, 13, 4, 2};
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    std::vector<std::vector<std::atomic<int>>> seen;
+    for (const std::size_t k : items) seen.emplace_back(k);
+    std::vector<std::atomic<std::size_t>> done(items.size());
+    std::atomic<bool> ordered{true};
+    std::atomic<std::size_t> max_worker{0};
+    run_phases(
+        threads, items.size(), [&](std::size_t p) { return items[p]; },
+        [&](std::size_t p, std::size_t w, std::size_t begin, std::size_t end) {
+          if (p > 0 && done[p - 1].load() != items[p - 1]) ordered = false;
+          raise_to(max_worker, w);
+          EXPECT_LT(begin, end);
+          for (std::size_t i = begin; i < end; ++i) seen[p][i].fetch_add(1);
+          done[p].fetch_add(end - begin);
+        });
+    EXPECT_TRUE(ordered.load()) << "threads " << threads;
+    // Clamped to the widest phase (13 items).
+    EXPECT_LT(max_worker.load(), std::min<std::size_t>(threads, 13));
+    for (std::size_t p = 0; p < items.size(); ++p)
+      for (std::size_t i = 0; i < items[p]; ++i)
+        EXPECT_EQ(seen[p][i].load(), 1) << "threads " << threads << " phase " << p;
+  }
+}
+
+TEST(RunPhases, StaticBalancedRanges) {
+  // 10 items on 4 workers: sizes 3, 3, 2, 2, worker w always owning range w.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges(4);
+  run_phases(
+      4, 1, [](std::size_t) { return std::size_t{10}; },
+      [&](std::size_t, std::size_t w, std::size_t begin, std::size_t end) {
+        ranges[w] = {begin, end};
+      });
+  const std::vector<std::pair<std::size_t, std::size_t>> want = {{0, 3}, {3, 6}, {6, 8}, {8, 10}};
+  EXPECT_EQ(ranges, want);
+}
+
+TEST(RunPhases, EdgeCases) {
+  // No items: the body never runs.
+  int calls = 0;
+  run_phases(
+      4, 3, [](std::size_t) { return std::size_t{0}; },
+      [&](std::size_t, std::size_t, std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  run_phases(
+      4, 0, [](std::size_t) { return std::size_t{5}; },
+      [&](std::size_t, std::size_t, std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+
+  // One item, many threads: inline on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  run_phases(
+      16, 1, [](std::size_t) { return std::size_t{1}; },
+      [&](std::size_t, std::size_t w, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(w, 0u);
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 1u);
+        ran_on = std::this_thread::get_id();
+      });
+  EXPECT_EQ(ran_on, caller);
+
+  // A single phase with more threads than items: one item per worker.
+  std::vector<std::atomic<int>> hit(3);
+  run_phases(
+      8, 1, [](std::size_t) { return std::size_t{3}; },
+      [&](std::size_t, std::size_t w, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(end, begin + 1);
+        EXPECT_EQ(begin, w);
+        hit[begin].fetch_add(1);
+      });
+  for (const auto& h : hit) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
+  for (const std::size_t threads : {1, 4}) {
+    // A body throw in phase 3 on one worker: no worker starts phase 4.
+    std::atomic<std::size_t> last_phase{0};
+    EXPECT_THROW(run_phases(
+                     threads, 10, [](std::size_t) { return std::size_t{64}; },
+                     [&](std::size_t p, std::size_t, std::size_t begin, std::size_t) {
+                       raise_to(last_phase, p);
+                       if (p == 3 && begin == 0) throw std::runtime_error("body");
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(last_phase.load(), 3u) << "threads " << threads;
+
+    // A cancel requested inside phase 3 is seen by every worker's poll at
+    // the start of phase 4.
+    core::RunControl control;
+    last_phase = 0;
+    EXPECT_THROW(run_phases(
+                     threads, 10, [](std::size_t) { return std::size_t{64}; },
+                     [&](std::size_t p, std::size_t, std::size_t, std::size_t) {
+                       raise_to(last_phase, p);
+                       if (p == 3) control.request_cancel();
+                     },
+                     &control),
+                 CancelledError);
+    EXPECT_EQ(last_phase.load(), 3u) << "threads " << threads;
+
+    control.reset();
+    control.set_deadline(core::RunControl::Clock::now() - std::chrono::milliseconds(1));
+    // An expired deadline stops the run before any body.
+    std::atomic<int> ran{0};
+    EXPECT_THROW(run_phases(
+                     threads, 10, [](std::size_t) { return std::size_t{64}; },
+                     [&](std::size_t, std::size_t, std::size_t, std::size_t) { ran.fetch_add(1); },
+                     &control),
+                 TimeoutError);
+    EXPECT_EQ(ran.load(), 0);
+  }
+}
+
+TEST(RunPhases, ApproximateFidelityIsBitIdenticalAcrossThreads) {
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(9, 1, 5), 4, bench::depolarizing_noise(0.02), 9);
+  for (const bool reuse : {true, false}) {
+    core::ApproxOptions opts;
+    opts.level = 2;
+    opts.reuse_plans = reuse;
+    opts.threads = 1;
+    const core::ApproxResult serial = core::approximate_fidelity(nc, 0, 0, opts);
+    opts.threads = 4;
+    const core::ApproxResult parallel = core::approximate_fidelity(nc, 0, 0, opts);
+    EXPECT_TRUE(same_bits(parallel.value, serial.value)) << "reuse " << reuse;
+    ASSERT_EQ(parallel.level_values.size(), serial.level_values.size());
+    for (std::size_t u = 0; u < serial.level_values.size(); ++u)
+      EXPECT_TRUE(same_bits(parallel.level_values[u], serial.level_values[u]));
+    EXPECT_EQ(parallel.contractions, serial.contractions);
   }
 }
 
