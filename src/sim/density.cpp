@@ -1,8 +1,51 @@
 #include "sim/density.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace noisim::sim {
+
+namespace {
+
+/// Bits a sweep's slices fix: 16 slices, so 3 or 4 workers split a sweep
+/// within one slice of even.
+constexpr int kSweepSliceBits = 4;
+/// A sweep grows only while its top kSweepSliceBits free bits all sit at or
+/// above this flat-index bit, so a slice's blocks come in runs of at least
+/// 2^(6 - 4) consecutive blocks (an op removes at most 4 lower bits).
+constexpr std::size_t kSweepMinSliceBit = std::size_t{1} << 6;
+
+/// x without the bits of `targets`: the inverse of the kernels' zero
+/// insertion, so a flat index maps to its block index.
+std::size_t remove_bits(std::size_t x, std::size_t targets) {
+  // Highest target first, so the lower ones keep their positions.
+  while (targets != 0) {
+    const std::size_t bit = std::bit_floor(targets);
+    x = ((x >> 1) & ~(bit - 1)) | (x & (bit - 1));
+    targets &= ~bit;
+  }
+  return x;
+}
+
+/// The `count` highest bits of `bits`.
+std::size_t top_bits(std::size_t bits, int count) {
+  std::size_t out = 0;
+  for (int i = 0; i < count && bits != 0; ++i) {
+    out |= std::bit_floor(bits);
+    bits &= ~std::bit_floor(bits);
+  }
+  return out;
+}
+
+/// Slice number s spread over the bits of `mask`, low bit to lowest bit.
+std::size_t deposit(std::size_t s, std::size_t mask) {
+  std::size_t out = 0;
+  for (; mask != 0; mask &= mask - 1, s >>= 1)
+    if (s & 1) out |= mask & (~mask + 1);
+  return out;
+}
+
+}  // namespace
 
 DensityMatrix::DensityMatrix(int n) : n_(n) {
   la::detail::require(n > 0 && n <= kDensityMaxQubits,
@@ -63,15 +106,75 @@ void DensityMatrix::evolve(const ch::NoisyCircuit& nc, const ParallelOptions& op
   run(kernels::CompiledOps(nc), threads, opts.control);
 }
 
+std::size_t DensityMatrix::op_bits(const kernels::CompiledOps::Op& op) const {
+  return qubit_bits(op.qubit_a) | (op.two ? qubit_bits(op.qubit_b) : 0);
+}
+
+std::vector<DensityMatrix::Sweep> DensityMatrix::plan_sweeps(
+    const kernels::CompiledOps& ops) const {
+  const std::size_t all = rho_.size() - 1;
+  const std::size_t eligible = all & ~(kSweepMinSliceBit - 1);
+  std::vector<Sweep> sweeps;
+  std::size_t touched = 0;
+  auto close = [&] {
+    Sweep& sw = sweeps.back();
+    sw.slice_mask = top_bits(all & ~touched, kSweepSliceBits);
+    sw.slices = std::size_t{1} << std::popcount(sw.slice_mask);
+  };
+  for (std::size_t o = 0; o < ops.size(); ++o) {
+    const std::size_t bits = op_bits(ops[o]);
+    if (!sweeps.empty() &&
+        std::popcount(eligible & ~(touched | bits)) >= kSweepSliceBits) {
+      touched |= bits;
+      sweeps.back().end = o + 1;
+      continue;
+    }
+    if (!sweeps.empty()) close();
+    sweeps.push_back({o, o + 1});
+    touched = bits;
+  }
+  if (!sweeps.empty()) close();
+  return sweeps;
+}
+
 void DensityMatrix::run(const kernels::CompiledOps& ops, std::size_t threads,
                         const core::RunControl* control) {
+  if (threads <= 1) {
+    run_phases(
+        1, ops.size(),
+        [&](std::size_t p) { return rho_.size() / (ops[p].two ? 16 : 4); },
+        [&](std::size_t p, std::size_t, std::size_t k_begin, std::size_t k_end) {
+          apply(ops, ops[p], k_begin, k_end);
+        },
+        control);
+    return;
+  }
+  const std::vector<Sweep> sweeps = plan_sweeps(ops);
   run_phases(
-      threads, ops.size(),
-      [&](std::size_t p) { return rho_.size() / (ops[p].two ? 16 : 4); },
-      [&](std::size_t p, std::size_t, std::size_t k_begin, std::size_t k_end) {
-        apply(ops, ops[p], k_begin, k_end);
+      threads, sweeps.size(), [&](std::size_t p) { return sweeps[p].slices; },
+      [&](std::size_t p, std::size_t, std::size_t s_begin, std::size_t s_end) {
+        const Sweep& sw = sweeps[p];
+        for (std::size_t s = s_begin; s < s_end; ++s) {
+          const std::size_t value = deposit(s, sw.slice_mask);
+          for (std::size_t o = sw.first; o < sw.end; ++o)
+            apply_slice(ops, ops[o], sw.slice_mask, value);
+        }
       },
-      control);
+      control, PhaseSplit::Dynamic);
+}
+
+void DensityMatrix::apply_slice(const kernels::CompiledOps& ops,
+                                const kernels::CompiledOps::Op& op, std::size_t mask,
+                                std::size_t value) {
+  const std::size_t targets = op_bits(op);
+  const std::size_t blocks = rho_.size() >> std::popcount(targets);
+  const std::size_t fixed = remove_bits(mask, targets), at = remove_bits(value, targets);
+  // The slice's blocks come in runs of every block index below the lowest
+  // fixed bit; `hold` steps from one run to the next.
+  const std::size_t run = fixed != 0 ? (fixed & (~fixed + 1)) : blocks;
+  const std::size_t hold = fixed | (run - 1);
+  for (std::size_t k = at; k < blocks; k = (((k | hold) + 1) & ~hold) | at)
+    apply(ops, op, k, k + run);
 }
 
 void DensityMatrix::apply(const kernels::CompiledOps& ops, const kernels::CompiledOps::Op& op,

@@ -22,14 +22,22 @@
 // model, not to a kernel change.
 //
 // Threads. evolve() compiles the circuit's operators once
-// (kernels::CompiledOps) and runs one sim::run_phases phase per op: the
-// op's blocks are cut into contiguous per-worker ranges, and a barrier
-// separates consecutive ops. Blocks of one op share no element, and each
-// block's arithmetic -- the same kernel, in the same order -- does not
-// depend on which worker runs it or where its range starts, so rho is
-// bit-identical at every thread count. Matrices below
-// kDensityParallelMinElems elements run on the calling thread: there a
-// pass is too short to pay for the barrier.
+// (kernels::CompiledOps) and cuts them, in order, into sweeps: runs of
+// consecutive ops that leave at least four high flat-index bits untouched
+// (row bits, or the column bit of a low-numbered qubit). Those four bits
+// cut rho into 16 slices that no op of the sweep crosses, and each sweep is
+// one sim::run_phases phase whose items are its slices: a worker claims a
+// slice and runs every op of the sweep on it, block run by block run,
+// before it claims the next (PhaseSplit::Dynamic). One barrier per sweep
+// instead of per op, and claimed slices instead of fixed ranges, keep a
+// worker whose core is taken away from stalling every op. Every block of
+// an op lies inside one slice, each element still meets the ops in circuit
+// order, and each block's arithmetic -- the same kernel, in the same order
+// -- does not depend on which worker runs it or which slice holds it, so
+// rho is bit-identical at every thread count and to the one-pass-per-op
+// serial path. Matrices below kDensityParallelMinElems elements run on the
+// calling thread, one pass per op: there a pass is too short to pay for
+// the threads.
 
 #include <cstdint>
 
@@ -60,9 +68,9 @@ class DensityMatrix {
   void apply_channel_2q(const ch::Channel& channel, int a, int b);
   /// Run a whole noisy circuit on opts.threads workers (0 = NOISIM_THREADS,
   /// else the hardware count; see the header comment). opts.control is
-  /// polled before every op: a cancel raises CancelledError and an expired
-  /// deadline TimeoutError, and rho is then left part-way. chunk_size is
-  /// unused.
+  /// polled before every op (before every sweep when split across
+  /// threads): a cancel raises CancelledError and an expired deadline
+  /// TimeoutError, and rho is then left part-way. chunk_size is unused.
   void evolve(const ch::NoisyCircuit& nc, const ParallelOptions& opts = {});
 
   cplx element(std::uint64_t row, std::uint64_t col) const;
@@ -79,12 +87,30 @@ class DensityMatrix {
   std::size_t row_bit(int q) const { return std::size_t{1} << (2 * n_ - 1 - q); }
   std::size_t col_bit(int q) const { return std::size_t{1} << (n_ - 1 - q); }
 
+  /// Ops [first, end) of a circuit and the flat-index bits none of them
+  /// touches that cut rho into the sweep's slices (header comment).
+  struct Sweep {
+    std::size_t first = 0, end = 0;
+    std::size_t slice_mask = 0;  // the slices' fixed bits
+    std::size_t slices = 1;      // 2^popcount(slice_mask)
+  };
+
+  /// Flat-index mask of qubit q's row and column bits.
+  std::size_t qubit_bits(int q) const { return row_bit(q) | col_bit(q); }
+  /// Flat-index mask of every bit `op` targets.
+  std::size_t op_bits(const kernels::CompiledOps::Op& op) const;
+  /// Cut `ops` into sweeps, greedily in op order.
+  std::vector<Sweep> plan_sweeps(const kernels::CompiledOps& ops) const;
+
   /// Run every op of `ops` in order on `threads` workers.
   void run(const kernels::CompiledOps& ops, std::size_t threads,
            const core::RunControl* control = nullptr);
   /// Op `op` on blocks [k_begin, k_end).
   void apply(const kernels::CompiledOps& ops, const kernels::CompiledOps::Op& op,
              std::size_t k_begin, std::size_t k_end);
+  /// Op `op` on the blocks of the slice whose `mask` bits equal `value`.
+  void apply_slice(const kernels::CompiledOps& ops, const kernels::CompiledOps::Op& op,
+                   std::size_t mask, std::size_t value);
 
   int n_ = 0;
   std::vector<cplx> rho_;  // row-major, size 4^n

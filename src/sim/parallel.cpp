@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <string>
 #include <thread>
@@ -93,6 +93,65 @@ class AbortGate {
   std::atomic<bool> abort_{false};
   support::Mutex mutex_;
   std::exception_ptr first_error_ GUARDED_BY(mutex_);
+};
+
+/// Phase barrier for run_phases. A waiter spins, then yields, and only
+/// then sleeps: phases are short, and a worker that blocks in the kernel
+/// at every phase end lets its core go idle, so the next phase waits for
+/// the wake-up -- on a virtual machine an idle vCPU is descheduled by the
+/// host and takes a host reschedule to wake, which made per-phase barrier
+/// latency vary from run to run. `done` runs on the last arriver while
+/// every other worker waits, before any of them is released.
+class PhaseBarrier {
+ public:
+  explicit PhaseBarrier(std::size_t seats) : seats_(seats), left_(seats) {}
+
+  template <class Done>
+  void arrive_and_wait(Done&& done) {
+    const std::uint32_t gen = gen_.load(std::memory_order_acquire);
+    if (arrive(gen, done)) return;
+    for (std::size_t round = 0; gen_.load(std::memory_order_acquire) == gen; ++round) {
+      if (round < kSpinRounds) {
+        spin_pause();
+      } else if (round < kSpinRounds + kYieldRounds) {
+        std::this_thread::yield();
+      } else {
+        gen_.wait(gen, std::memory_order_acquire);
+      }
+    }
+  }
+
+  /// Arrive for the current phase and give up the seat for every later one.
+  template <class Done>
+  void arrive_and_drop(Done&& done) {
+    seats_.fetch_sub(1, std::memory_order_relaxed);
+    arrive(gen_.load(std::memory_order_acquire), done);
+  }
+
+ private:
+  static constexpr std::size_t kSpinRounds = 1 << 12;
+  static constexpr std::size_t kYieldRounds = 1 << 10;
+
+  static void spin_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  /// True for the last arriver, which runs `done` and opens the next phase.
+  template <class Done>
+  bool arrive(std::uint32_t gen, Done& done) {
+    if (left_.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+    done();
+    left_.store(seats_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    gen_.store(gen + 1, std::memory_order_release);
+    gen_.notify_all();
+    return true;
+  }
+
+  std::atomic<std::size_t> seats_;
+  std::atomic<std::size_t> left_;
+  std::atomic<std::uint32_t> gen_{0};
 };
 
 }  // namespace
@@ -301,7 +360,7 @@ std::vector<TrajectoryResult> run_trajectories_sharded(
 }
 
 void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items_of,
-                const PhaseBody& body, const core::RunControl* control) {
+                const PhaseBody& body, const core::RunControl* control, PhaseSplit split) {
   std::size_t widest = 0;
   for (std::size_t p = 0; p < phases; ++p) widest = std::max(widest, items_of(p));
   threads = std::max<std::size_t>(1, std::min(threads, widest));
@@ -310,22 +369,34 @@ void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items
   // Written only by the barrier's completion step, which runs while every
   // worker is blocked in it, so all workers read the same value after it.
   bool stop = false;
-  std::barrier sync(static_cast<std::ptrdiff_t>(threads),
-                    [&]() noexcept { stop = gate.stopping(); });
+  // Next unclaimed item of the current phase (PhaseSplit::Dynamic); reset by
+  // the same completion step.
+  std::atomic<std::size_t> next{0};
+  PhaseBarrier sync(threads);
+  auto done = [&] {
+    stop = gate.stopping();
+    next.store(0, std::memory_order_relaxed);
+  };
   auto worker = [&](std::size_t w) {
     for (std::size_t p = 0; p < phases; ++p) {
       if (p > 0) {
-        sync.arrive_and_wait();
+        sync.arrive_and_wait(done);
         if (stop) return;
       }
       try {
         if (control) control->poll();
         fault::poke("sim-phase");
         const std::size_t items = items_of(p);
-        const std::size_t base = items / threads, extra = items % threads;
-        const std::size_t begin = w * base + std::min(w, extra);
-        const std::size_t end = begin + base + (w < extra ? 1 : 0);
-        if (begin < end) body(p, w, begin, end);
+        if (split == PhaseSplit::Dynamic && threads > 1) {
+          for (std::size_t i = 0;
+               !gate.stopping() && (i = next.fetch_add(1, std::memory_order_relaxed)) < items;)
+            body(p, w, i, i + 1);
+        } else {
+          const std::size_t base = items / threads, extra = items % threads;
+          const std::size_t begin = w * base + std::min(w, extra);
+          const std::size_t end = begin + base + (w < extra ? 1 : 0);
+          if (begin < end) body(p, w, begin, end);
+        }
       } catch (...) {
         gate.record();
       }
@@ -342,7 +413,7 @@ void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items
     // A worker that never started can never arrive: drop its seat, and let
     // the recorded error stop the started ones after their first phase.
     gate.record();
-    for (std::size_t w = pool.size() + 1; w < threads; ++w) sync.arrive_and_drop();
+    for (std::size_t w = pool.size() + 1; w < threads; ++w) sync.arrive_and_drop(done);
   }
   worker(0);
   for (std::thread& t : pool) t.join();

@@ -164,21 +164,33 @@ using PhaseItems = std::function<std::size_t(std::size_t phase)>;
 using PhaseBody = std::function<void(std::size_t phase, std::size_t worker, std::size_t begin,
                                      std::size_t end)>;
 
+/// How run_phases hands a phase's items to its workers.
+enum class PhaseSplit {
+  /// Worker w owns the w-th of `threads` contiguous ranges whose sizes
+  /// differ by at most one: the item-to-worker map is a pure function of
+  /// (items, threads).
+  Static,
+  /// Workers claim one item at a time from a shared counter, so a worker
+  /// that falls behind (its core taken by another process, or its vCPU by
+  /// the host) holds up at most the item it is on. For phases of a few
+  /// coarse items; which worker runs an item varies from run to run.
+  Dynamic,
+};
+
 /// Run `phases` phases of independent items, in order, on `threads`
-/// workers -- a static-shard runner for passes whose items may be split
-/// anywhere (the density engine's blocks, Algorithm 1's terms):
+/// workers -- a phased runner for passes whose items may be split anywhere
+/// (the density engine's slices, Algorithm 1's terms):
 ///
 ///  * `threads` is used as given (no env/hardware resolution); it is
 ///    clamped to the largest phase's item count. At one worker everything
-///    runs inline on the calling thread and no thread is started; callers
-///    whose passes are too small to be worth splitting pass 1.
+///    runs inline on the calling thread, one body call per non-empty phase,
+///    and no thread is started; callers whose passes are too small to be
+///    worth splitting pass 1.
 ///  * otherwise threads - 1 std::threads are started once per call and the
-///    caller is worker 0. Phase p's items_of(p) items are cut into
-///    `threads` contiguous ranges whose sizes differ by at most one; worker
-///    w always owns range w, so the item-to-worker map is a pure function
-///    of (items, threads). body runs only for non-empty ranges; every
-///    phase's items are done before any item of the next one starts (a
-///    std::barrier separates phases).
+///    caller is worker 0. `split` decides which worker runs which items.
+///    body runs only for non-empty ranges; every phase's items are done
+///    before any item of the next one starts (a barrier separates phases;
+///    its waiters spin and yield before they sleep).
 ///  * each worker polls `control` and pokes the `sim-phase` fault site at
 ///    the start of every phase, before its body. A worker whose poll, poke
 ///    or body throws records the exception and still arrives at the
@@ -186,9 +198,10 @@ using PhaseBody = std::function<void(std::size_t phase, std::size_t worker, std:
 ///    before the next phase, so all of them leave together without
 ///    deadlock. The first exception is rethrown after every worker joined.
 ///
-/// Results are bit-identical at any thread count whenever each item's
-/// arithmetic does not depend on which worker runs it.
+/// Results are bit-identical at any thread count, and under either split,
+/// whenever each item's arithmetic does not depend on which worker runs it.
 void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items_of,
-                const PhaseBody& body, const core::RunControl* control = nullptr);
+                const PhaseBody& body, const core::RunControl* control = nullptr,
+                PhaseSplit split = PhaseSplit::Static);
 
 }  // namespace noisim::sim

@@ -324,7 +324,7 @@ TEST(RunControl, DensityBackendHonorsThreadsAndControl) {
   const CostEstimate est = density->estimate(nc, 0, 0, opts);
   RunControl c;
   opts.control = &c;
-  // Count sim-phase pokes (one per worker per op) without ever firing.
+  // Count sim-phase pokes (one per worker per sweep) without ever firing.
   fault::arm("sim-phase", std::uint64_t{1} << 40);
   SimResult out;
   c.request_cancel();
@@ -332,7 +332,7 @@ TEST(RunControl, DensityBackendHonorsThreadsAndControl) {
   c.reset();
   c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
   EXPECT_THROW(density->run(nc, 0, 0, opts, est, out), TimeoutError);
-  // Both stopped at their first op's poll, before any op ran.
+  // Both stopped at their first sweep's poll, before any op ran.
   EXPECT_EQ(fault::hits("sim-phase"), 0u);
   fault::disarm_all();
 

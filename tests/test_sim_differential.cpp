@@ -225,10 +225,10 @@ TEST(KernelDifferential, ApplyCircuitMatchesReference) {
   EXPECT_TRUE(same_bits(sv.data(), ref.data(), ref.size()));
 }
 
-// Above kDensityParallelMinElems, so every thread count > 1 really splits
-// the blocks; 3 threads never divide the (power-of-two) block counts.
+// At or above kDensityParallelMinElems, so every thread count > 1 really
+// splits rho into sweeps of slices; 3 threads never divide the 16 slices.
 TEST(DensityThreads, EvolveIsBitIdenticalAtEveryThreadCount) {
-  for (const int n : {7, 9}) {
+  for (const int n : {6, 7, 9}) {
     ASSERT_GE(std::size_t{1} << (2 * n), kDensityParallelMinElems);
     // Kept short at n = 9 (a 2^18-element rho): the sanitizer jobs run it.
     const ch::NoisyCircuit nc = random_noisy_circuit(n, n == 7 ? 40 : 6, 300 + n);
@@ -275,9 +275,11 @@ TEST(DensityThreads, WorkerFaultUnwindsWithoutDeadlockAndLeavesNoTrace) {
 }
 
 // run_phases on its own: every item of every phase exactly once, phases in
-// order, static ranges, and the inline / clamped corner cases.
+// order under either split, static ranges, one-item claims, and the inline
+// / clamped corner cases.
 TEST(RunPhases, EveryItemOncePhasesInOrder) {
   const std::vector<std::size_t> items = {7, 0, 1, 13, 4, 2};
+  for (const PhaseSplit split : {PhaseSplit::Static, PhaseSplit::Dynamic})
   for (const std::size_t threads : {1, 2, 3, 4, 8}) {
     std::vector<std::vector<std::atomic<int>>> seen;
     for (const std::size_t k : items) seen.emplace_back(k);
@@ -290,9 +292,14 @@ TEST(RunPhases, EveryItemOncePhasesInOrder) {
           if (p > 0 && done[p - 1].load() != items[p - 1]) ordered = false;
           raise_to(max_worker, w);
           EXPECT_LT(begin, end);
+          // Dynamic claims are single items once threads are started.
+          if (split == PhaseSplit::Dynamic && threads > 1) {
+            EXPECT_EQ(end, begin + 1);
+          }
           for (std::size_t i = begin; i < end; ++i) seen[p][i].fetch_add(1);
           done[p].fetch_add(end - begin);
-        });
+        },
+        nullptr, split);
     EXPECT_TRUE(ordered.load()) << "threads " << threads;
     // Clamped to the widest phase (13 items).
     EXPECT_LT(max_worker.load(), std::min<std::size_t>(threads, 13));
@@ -352,6 +359,7 @@ TEST(RunPhases, EdgeCases) {
 }
 
 TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
+  for (const PhaseSplit split : {PhaseSplit::Static, PhaseSplit::Dynamic})
   for (const std::size_t threads : {1, 4}) {
     // A body throw in phase 3 on one worker: no worker starts phase 4.
     std::atomic<std::size_t> last_phase{0};
@@ -360,7 +368,8 @@ TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
                      [&](std::size_t p, std::size_t, std::size_t begin, std::size_t) {
                        raise_to(last_phase, p);
                        if (p == 3 && begin == 0) throw std::runtime_error("body");
-                     }),
+                     },
+                     nullptr, split),
                  std::runtime_error);
     EXPECT_EQ(last_phase.load(), 3u) << "threads " << threads;
 
@@ -374,7 +383,7 @@ TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
                        raise_to(last_phase, p);
                        if (p == 3) control.request_cancel();
                      },
-                     &control),
+                     &control, split),
                  CancelledError);
     EXPECT_EQ(last_phase.load(), 3u) << "threads " << threads;
 
@@ -385,7 +394,7 @@ TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
     EXPECT_THROW(run_phases(
                      threads, 10, [](std::size_t) { return std::size_t{64}; },
                      [&](std::size_t, std::size_t, std::size_t, std::size_t) { ran.fetch_add(1); },
-                     &control),
+                     &control, split),
                  TimeoutError);
     EXPECT_EQ(ran.load(), 0);
   }
