@@ -15,8 +15,8 @@
 //    per-bitstring approximate_fidelity vs approximate_fidelity_outputs
 //    (terms x outputs batched in one traversal per chunk);
 //  * trajectory estimates -- per-bitstring trajectories_tn vs
-//    trajectories_tn_outputs (every sample scores all K bitstrings on one
-//    sampled circuit).
+//    trajectories_tn_sweep with one shard of all K bitstrings (every sample
+//    scores all K bitstrings on one sampled circuit).
 //
 // Every batched value must equal its per-bitstring reference BIT FOR BIT;
 // the bench exits non-zero on any mismatch, or when the amplitude phase's
@@ -265,8 +265,8 @@ int main(int argc, char** argv) {
     run.traj_identical = true;
     for (int round = 0; round < 2; ++round) {
       auto t0 = Clock::now();
-      const std::vector<sim::TrajectoryResult> tbatch =
-          core::trajectories_tn_outputs(nc, 0, vb, traj_samples, 7, popts, eval);
+      const std::vector<sim::TrajectoryResult> tbatch = core::trajectories_tn_sweep(
+          nc, 0, vb, traj_samples, 7, popts, eval, /*shard_outputs=*/K);
       run.traj_batched_seconds = std::min(run.traj_batched_seconds, secs(t0, Clock::now()));
       t0 = Clock::now();
       for (std::size_t o = 0; o < K; ++o) {

@@ -4,7 +4,7 @@
 // Batched APIs, each bit-identical to its per-bitstring loop:
 //  * core::batch_amplitudes        -- ideal amplitudes <x|C|0> for every x
 //  * core::approximate_fidelity_outputs -- Algorithm-1 A(l) at every x
-//  * core::trajectories_tn_outputs -- trajectory estimates at every x,
+//  * core::trajectories_tn_sweep  -- trajectory estimates at every x,
 //                                     sharing the sampled noise realizations
 //  * core::xeb_sweep + core::PlanCache -- the sharded sweep engine for XEB
 //    batches arriving over time: explicit output shards fill every worker
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // Trajectory estimates sharing one set of sampled noise realizations.
   sim::ParallelOptions popts;
   const std::vector<sim::TrajectoryResult> traj =
-      core::trajectories_tn_outputs(nc, 0, xs, 400, 11, popts, eval);
+      core::trajectories_tn_sweep(nc, 0, xs, 400, 11, popts, eval, /*shard_outputs=*/K);
 
   std::printf("\n%-18s %-12s %-12s %-18s\n", "bitstring", "p_ideal", "A(1)",
               "trajectories");

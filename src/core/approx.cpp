@@ -804,7 +804,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // --- scheduler + streaming fold ------------------------------------------
   const std::size_t num_items = num_ranges * num_chunks;
   const std::size_t threads =
-      std::max<std::size_t>(1, std::min<std::size_t>(opts.threads, num_items));
+      std::max<std::size_t>(1, std::min(sim::resolve_threads(opts.threads), num_items));
   std::vector<tn::ContractStats> worker_stats(threads);
 
   // Bounded buffer pool: claiming an item claims a buffer with it, so a
@@ -1014,7 +1014,7 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 
   std::vector<cplx> values(terms.size());
   const std::size_t threads =
-      std::max<std::size_t>(1, std::min<std::size_t>(opts.threads, terms.size()));
+      std::max<std::size_t>(1, std::min(sim::resolve_threads(opts.threads), terms.size()));
   // One static-shard phase over the terms: worker w owns a contiguous,
   // balanced term range, and the reduction below runs on the joined values
   // in enumeration order either way.

@@ -24,8 +24,10 @@ class PlanCache;
 struct ApproxOptions {
   std::size_t level = 1;
   EvalOptions eval;
-  /// Worker threads for the (independent) term evaluations; 1 = serial.
-  /// Results are reduced in deterministic enumeration order either way.
+  /// Worker threads for the (independent) term evaluations; 1 = serial,
+  /// 0 = NOISIM_THREADS if set, else the hardware thread count (as
+  /// sim::ParallelOptions::threads). Results are reduced in deterministic
+  /// enumeration order either way.
   std::size_t threads = 1;
   /// Optional progress callback invoked after each term with the number of
   /// terms evaluated so far (benchmarks use it for long sweeps). With

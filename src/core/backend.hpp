@@ -103,11 +103,11 @@ struct SimulateOptions {
   /// Cooperative cancellation / deadline control (core/run_control.hpp),
   /// threaded into every engine simulate() runs: the TN plan executors poll
   /// it per step, the sweep queue per claimed item, and the trajectory
-  /// runners per chunk. An expired deadline raises TimeoutError (which the
-  /// escalation ladder treats like any run-time timeout); a cancel raises
-  /// CancelledError, which simulate() never absorbs -- it propagates to the
-  /// caller. Null disables; a control that never fires leaves results
-  /// bit-identical. Caller-owned, must outlive the call.
+  /// runner per claimed item. An expired deadline raises TimeoutError
+  /// (which the escalation ladder treats like any run-time timeout); a
+  /// cancel raises CancelledError, which simulate() never absorbs -- it
+  /// propagates to the caller. Null disables; a control that never fires
+  /// leaves results bit-identical. Caller-owned, must outlive the call.
   const RunControl* control = nullptr;
 };
 

@@ -115,7 +115,7 @@ EvalOptions resolved_eval_options(int n, const std::vector<qc::Gate>& gates,
                                   const EvalOptions& opts);
 
 /// Caller policy shared by the output-batching paths (batch_amplitudes,
-/// approximate_fidelity_outputs, trajectories_tn_outputs): a compiled batch
+/// approximate_fidelity_outputs, trajectories_tn_sweep): a compiled batch
 /// whose schedule is essentially ALL sequential (per-term) work -- the
 /// compile-time variant bounds found no step that terms could share -- can
 /// only add bookkeeping over plain per-bitstring plan replay, so those

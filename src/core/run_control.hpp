@@ -5,9 +5,9 @@
 // the thread that launches a computation and the threads executing it. The
 // execution stack polls it at natural quiescent points -- the plan executor
 // per contraction step (via tn::PlanWorkspace::control), the sharded sweep
-// queue per work-item claim, the trajectory runners per chunk -- so a
-// triggered control stops the run within one step/chunk/item rather than at
-// the next top-level call boundary.
+// queue per work-item claim, the trajectory runner per (shard, chunk) item
+// -- so a triggered control stops the run within one step/item rather than
+// at the next top-level call boundary.
 //
 // Semantics:
 //   * cancel      -- sticky flag; poll() raises CancelledError. Cancel is a

@@ -19,7 +19,7 @@
 //   exec-step-mo         MemoryOutError   per-step in plan/batched executors
 //   exec-step-to         TimeoutError     per-step in plan/batched executors
 //   sweep-worker         FaultError       sweep queue, before item eval
-//   traj-chunk           FaultError       trajectory runners, before a chunk
+//   traj-chunk           FaultError       sim::run_trajectories_sharded, per item
 //   sim-phase            FaultError       sim::run_phases, per worker per phase
 //   run-density          MemoryOutError   simulate() before DensityBackend::run
 //   run-tdd              MemoryOutError   simulate() before TddBackend::run
@@ -27,6 +27,9 @@
 //   run-tn-trajectories  MemoryOutError   simulate() before TnTrajectoriesBackend::run
 //   run-sv-trajectories  MemoryOutError   simulate() before SvTrajectoriesBackend::run
 //   run-mps-trajectories MemoryOutError   simulate() before MpsTrajectoriesBackend::run
+//
+// A trajectory run is one run_phases phase, so besides its traj-chunk
+// pokes it pokes sim-phase once per worker (once when it runs inline).
 //
 // The allocation sites throw MemoryOutError rather than std::bad_alloc on
 // purpose: an injected allocation failure models "this backend cannot get

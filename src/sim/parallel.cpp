@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,13 +62,14 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Shared failure gate for a worker pool: the first exception any worker
-/// hits is recorded and the abort flag tells siblings to stop claiming
-/// chunks, so a failed run drains within one chunk per worker instead of
-/// computing the whole remaining budget for a result that will be thrown
-/// away. Workers never throw out of their thread; the recorded exception is
-/// rethrown on the calling thread after every worker joined (futures and
-/// accumulators are all settled by then -- no leaks, no torn state).
+/// Shared failure gate for run_phases' workers: the first exception any
+/// worker hits is recorded and the abort flag tells siblings to stop
+/// claiming items, so a failed run drains within one item per worker
+/// instead of computing the whole remaining budget for a result that will
+/// be thrown away. Workers never throw out of their thread; the recorded
+/// exception is rethrown on the calling thread after every worker joined
+/// (threads and accumulators are all settled by then -- no leaks, no torn
+/// state).
 class AbortGate {
  public:
   bool stopping() const { return abort_.load(std::memory_order_relaxed); }
@@ -160,205 +160,6 @@ std::mt19937_64 chunk_rng(std::uint64_t seed, std::uint64_t chunk_index) {
   return std::mt19937_64(splitmix64(seed ^ splitmix64(chunk_index)));
 }
 
-TrajectoryResult run_trajectories_chunked(std::size_t samples, std::uint64_t seed,
-                                          const ChunkSamplerFactory& make_sampler,
-                                          const ParallelOptions& opts) {
-  la::detail::require(opts.chunk_size > 0, "run_trajectories: chunk_size must be positive");
-  // Zero samples is a well-defined (empty) estimate, not an error: sweep
-  // drivers that partition a sample budget can land on empty shards.
-  if (samples == 0) return {};
-
-  const std::size_t num_chunks = (samples + opts.chunk_size - 1) / opts.chunk_size;
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min(resolve_threads(opts.threads), num_chunks));
-
-  std::vector<Welford> chunk_stats(num_chunks);
-  std::atomic<std::size_t> next{0};
-  AbortGate gate;
-
-  auto worker = [&](std::size_t w) {
-    try {
-      ChunkSampler sampler = make_sampler(w);
-      std::vector<double> values(opts.chunk_size);
-      while (!gate.stopping()) {
-        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) break;
-        if (opts.control) opts.control->poll();
-        fault::poke("traj-chunk");
-        const std::size_t begin = c * opts.chunk_size;
-        const std::size_t end = std::min(begin + opts.chunk_size, samples);
-        std::mt19937_64 rng = chunk_rng(seed, c);
-        sampler(rng, std::span<double>(values.data(), end - begin));
-        Welford& stats = chunk_stats[c];
-        for (std::size_t s = 0; s < end - begin; ++s) stats.add(values[s]);
-      }
-    } catch (...) {
-      gate.record();
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      futures.push_back(std::async(std::launch::async, worker, w));
-    for (auto& f : futures) f.get();  // workers trap their own exceptions
-  }
-  gate.rethrow();  // first worker exception, after every worker joined
-
-  // Deterministic reduction: merge in chunk order, independent of which
-  // worker computed which chunk.
-  Welford total;
-  for (const Welford& stats : chunk_stats) total.merge(stats);
-
-  TrajectoryResult out;
-  out.samples = total.count;
-  out.mean = total.mean;
-  if (total.count > 1)
-    out.std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
-  return out;
-}
-
-std::vector<TrajectoryResult> run_trajectories_multi(
-    std::size_t samples, std::size_t num_estimates, std::uint64_t seed,
-    const MultiChunkSamplerFactory& make_sampler, const ParallelOptions& opts) {
-  la::detail::require(opts.chunk_size > 0, "run_trajectories: chunk_size must be positive");
-  std::vector<TrajectoryResult> out(num_estimates);
-  if (samples == 0 || num_estimates == 0) return out;
-
-  const std::size_t num_chunks = (samples + opts.chunk_size - 1) / opts.chunk_size;
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min(resolve_threads(opts.threads), num_chunks));
-
-  // Per-chunk per-estimate accumulators: estimate o's stream through chunk
-  // c is exactly what the single-estimate runner would accumulate, so the
-  // chunk-order merge below reproduces it bit for bit.
-  std::vector<Welford> chunk_stats(num_chunks * num_estimates);
-  std::atomic<std::size_t> next{0};
-  AbortGate gate;
-
-  auto worker = [&](std::size_t w) {
-    try {
-      MultiChunkSampler sampler = make_sampler(w);
-      std::vector<double> values(opts.chunk_size * num_estimates);
-      while (!gate.stopping()) {
-        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) break;
-        if (opts.control) opts.control->poll();
-        fault::poke("traj-chunk");
-        const std::size_t begin = c * opts.chunk_size;
-        const std::size_t count = std::min(begin + opts.chunk_size, samples) - begin;
-        std::mt19937_64 rng = chunk_rng(seed, c);
-        sampler(rng, count, std::span<double>(values.data(), count * num_estimates));
-        for (std::size_t o = 0; o < num_estimates; ++o) {
-          Welford& stats = chunk_stats[c * num_estimates + o];
-          for (std::size_t s = 0; s < count; ++s) stats.add(values[s * num_estimates + o]);
-        }
-      }
-    } catch (...) {
-      gate.record();
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      futures.push_back(std::async(std::launch::async, worker, w));
-    for (auto& f : futures) f.get();  // workers trap their own exceptions
-  }
-  gate.rethrow();  // first worker exception, after every worker joined
-
-  for (std::size_t o = 0; o < num_estimates; ++o) {
-    Welford total;
-    for (std::size_t c = 0; c < num_chunks; ++c)
-      total.merge(chunk_stats[c * num_estimates + o]);
-    out[o].samples = total.count;
-    out[o].mean = total.mean;
-    if (total.count > 1)
-      out[o].std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
-  }
-  return out;
-}
-
-std::vector<TrajectoryResult> run_trajectories_sharded(
-    std::size_t samples, std::size_t num_estimates, std::size_t shard_size,
-    std::uint64_t seed, const ShardChunkSamplerFactory& make_sampler,
-    const ParallelOptions& opts) {
-  la::detail::require(opts.chunk_size > 0, "run_trajectories: chunk_size must be positive");
-  std::vector<TrajectoryResult> out(num_estimates);
-  if (samples == 0 || num_estimates == 0) return out;
-
-  const std::size_t shard =
-      std::min(num_estimates, shard_size > 0 ? shard_size : num_estimates);
-  const std::size_t num_shards = (num_estimates + shard - 1) / shard;
-  const std::size_t num_chunks = (samples + opts.chunk_size - 1) / opts.chunk_size;
-  const std::size_t num_items = num_shards * num_chunks;
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min(resolve_threads(opts.threads), num_items));
-
-  // The same per-(chunk, estimate) accumulators run_trajectories_multi
-  // keeps; only the work decomposition (and the per-worker value buffer)
-  // is sharded, so the chunk-order merge below is unchanged.
-  std::vector<Welford> chunk_stats(num_chunks * num_estimates);
-  std::atomic<std::size_t> next{0};
-  AbortGate gate;
-
-  auto worker = [&](std::size_t w) {
-    try {
-      ShardChunkSampler sampler = make_sampler(w);
-      std::vector<double> values(opts.chunk_size * shard);
-      while (!gate.stopping()) {
-        const std::size_t item = next.fetch_add(1, std::memory_order_relaxed);
-        if (item >= num_items) break;
-        if (opts.control) opts.control->poll();
-        fault::poke("traj-chunk");
-        const std::size_t c = item / num_shards;
-        const std::size_t sh = item % num_shards;
-        const std::size_t shard_begin = sh * shard;
-        const std::size_t shard_count = std::min(shard, num_estimates - shard_begin);
-        const std::size_t begin = c * opts.chunk_size;
-        const std::size_t count = std::min(begin + opts.chunk_size, samples) - begin;
-        std::mt19937_64 rng = chunk_rng(seed, c);
-        sampler(rng, shard_begin, shard_count, count,
-                std::span<double>(values.data(), count * shard_count));
-        for (std::size_t j = 0; j < shard_count; ++j) {
-          Welford& stats = chunk_stats[c * num_estimates + shard_begin + j];
-          for (std::size_t s = 0; s < count; ++s) stats.add(values[s * shard_count + j]);
-        }
-      }
-    } catch (...) {
-      gate.record();
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      futures.push_back(std::async(std::launch::async, worker, w));
-    for (auto& f : futures) f.get();  // workers trap their own exceptions
-  }
-  gate.rethrow();  // first worker exception, after every worker joined
-
-  for (std::size_t o = 0; o < num_estimates; ++o) {
-    Welford total;
-    for (std::size_t c = 0; c < num_chunks; ++c)
-      total.merge(chunk_stats[c * num_estimates + o]);
-    out[o].samples = total.count;
-    out[o].mean = total.mean;
-    if (total.count > 1)
-      out[o].std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
-  }
-  return out;
-}
-
 void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items_of,
                 const PhaseBody& body, const core::RunControl* control, PhaseSplit split) {
   std::size_t widest = 0;
@@ -420,17 +221,84 @@ void run_phases(std::size_t threads, std::size_t phases, const PhaseItems& items
   gate.rethrow();
 }
 
+std::vector<TrajectoryResult> run_trajectories_sharded(
+    std::size_t samples, std::size_t num_estimates, std::size_t shard_size,
+    std::uint64_t seed, const ShardChunkSamplerFactory& make_sampler,
+    const ParallelOptions& opts) {
+  la::detail::require(opts.chunk_size > 0, "run_trajectories: chunk_size must be positive");
+  std::vector<TrajectoryResult> out(num_estimates);
+  if (samples == 0 || num_estimates == 0) return out;
+
+  const std::size_t shard =
+      std::min(num_estimates, shard_size > 0 ? shard_size : num_estimates);
+  const std::size_t num_shards = (num_estimates + shard - 1) / shard;
+  const std::size_t num_chunks = (samples + opts.chunk_size - 1) / opts.chunk_size;
+  const std::size_t num_items = num_shards * num_chunks;
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::min(resolve_threads(opts.threads), num_items));
+
+  // One accumulator per (chunk, estimate): estimate o's stream through
+  // chunk c is the same whichever worker or shard scored it, so the
+  // chunk-order merge below is independent of the work split.
+  std::vector<Welford> chunk_stats(num_chunks * num_estimates);
+  // Each worker's sampler and value buffer, built on its first item.
+  struct WorkerSlot {
+    ShardChunkSampler sampler;
+    std::vector<double> values;
+  };
+  std::vector<WorkerSlot> slots(threads);
+
+  run_phases(
+      threads, 1, [num_items](std::size_t) { return num_items; },
+      [&](std::size_t, std::size_t w, std::size_t begin, std::size_t end) {
+        WorkerSlot& slot = slots[w];
+        if (!slot.sampler) {
+          slot.sampler = make_sampler(w);
+          slot.values.resize(opts.chunk_size * shard);
+        }
+        for (std::size_t item = begin; item < end; ++item) {
+          if (opts.control) opts.control->poll();
+          fault::poke("traj-chunk");
+          const std::size_t c = item / num_shards;
+          const std::size_t shard_begin = (item % num_shards) * shard;
+          const std::size_t shard_count = std::min(shard, num_estimates - shard_begin);
+          const std::size_t first = c * opts.chunk_size;
+          const std::size_t count = std::min(first + opts.chunk_size, samples) - first;
+          std::mt19937_64 rng = chunk_rng(seed, c);
+          slot.sampler(rng, shard_begin, shard_count, count,
+                       std::span<double>(slot.values.data(), count * shard_count));
+          for (std::size_t j = 0; j < shard_count; ++j) {
+            Welford& stats = chunk_stats[c * num_estimates + shard_begin + j];
+            for (std::size_t s = 0; s < count; ++s) stats.add(slot.values[s * shard_count + j]);
+          }
+        }
+      },
+      opts.control, PhaseSplit::Dynamic);
+
+  for (std::size_t o = 0; o < num_estimates; ++o) {
+    Welford total;
+    for (std::size_t c = 0; c < num_chunks; ++c)
+      total.merge(chunk_stats[c * num_estimates + o]);
+    out[o].samples = total.count;
+    out[o].mean = total.mean;
+    if (total.count > 1)
+      out[o].std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
+  }
+  return out;
+}
+
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
                                   const SamplerFactory& make_sampler,
                                   const ParallelOptions& opts) {
-  return run_trajectories_chunked(
-      samples, seed,
-      [&make_sampler](std::size_t w) -> ChunkSampler {
-        return [sampler = make_sampler(w)](std::mt19937_64& rng, std::span<double> values) {
-          for (double& v : values) v = sampler(rng);
+  return run_trajectories_sharded(
+      samples, 1, 1, seed,
+      [&make_sampler](std::size_t w) -> ShardChunkSampler {
+        return [sampler = make_sampler(w)](std::mt19937_64& rng, std::size_t, std::size_t,
+                                           std::size_t count, std::span<double> values) {
+          for (std::size_t s = 0; s < count; ++s) values[s] = sampler(rng);
         };
       },
-      opts);
+      opts)[0];
 }
 
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,

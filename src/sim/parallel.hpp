@@ -2,27 +2,34 @@
 // Shared multithreaded Monte-Carlo trajectory engine.
 //
 // All three trajectory baselines (statevector, MPS, tensor network) draw
-// i.i.d. fidelity samples in an outer loop; this engine parallelizes that
-// loop while keeping the estimate bit-for-bit reproducible for a fixed seed
-// regardless of the number of worker threads:
+// i.i.d. fidelity samples in an outer loop; one runner,
+// run_trajectories_sharded, parallelizes that loop on run_phases (the
+// library's one thread pool, below) while keeping every estimate
+// bit-for-bit reproducible for a fixed seed regardless of the number of
+// worker threads:
 //
 //  * the sample budget is split into fixed-size chunks, and chunk c always
 //    draws from its own std::mt19937_64 seeded from splitmix64(seed, c) --
 //    the set of random streams is a function of (seed, chunk_size) only,
 //    never of the thread count;
-//  * idle workers steal the next unclaimed chunk from a shared atomic
-//    counter, so uneven per-sample costs (e.g. MPS bond growth) balance
-//    out without a static partition;
-//  * each chunk accumulates its own Welford mean/M2 and the per-chunk
-//    statistics are merged in chunk order (Chan's parallel variance
-//    update) after all workers join; the merge order is deterministic, so
-//    the floating-point result is too.
+//  * the (estimate-shard x chunk) items form one run_phases phase whose
+//    workers claim one item at a time (PhaseSplit::Dynamic), so uneven
+//    per-sample costs (e.g. MPS bond growth) balance out without a static
+//    partition;
+//  * each (chunk, estimate) pair accumulates its own Welford mean/M2 and
+//    the per-chunk statistics are merged in chunk order (Chan's parallel
+//    variance update) after all workers join; the merge order is
+//    deterministic, so the floating-point result is too.
+//
+// run_trajectories is the per-sample adapter onto the same runner (one
+// estimate, one shard) for samplers that score one trajectory at a time.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "core/run_control.hpp"
 
@@ -43,12 +50,12 @@ struct ParallelOptions {
   /// changes the (equally valid) estimate.
   std::size_t chunk_size = 32;
   /// Cooperative control (core/run_control.hpp), polled by every worker
-  /// once per claimed chunk: a cancel raises CancelledError and an expired
-  /// deadline TimeoutError from the runner, within one chunk of the
-  /// trigger. Workers that observe a sibling's exception stop claiming
-  /// chunks (cooperative drain) and the FIRST exception is rethrown after
-  /// all workers join. Null disables; a control that never fires leaves
-  /// results bit-identical. Caller-owned.
+  /// when it starts and once per claimed item: a cancel raises
+  /// CancelledError and an expired deadline TimeoutError from the runner,
+  /// within one item of the trigger. Workers that observe a sibling's
+  /// exception stop claiming items (cooperative drain) and the FIRST
+  /// exception is rethrown after all workers join. Null disables; a
+  /// control that never fires leaves results bit-identical. Caller-owned.
   const core::RunControl* control = nullptr;
 };
 
@@ -73,22 +80,14 @@ std::mt19937_64 chunk_rng(std::uint64_t seed, std::uint64_t chunk_index);
 
 /// One fidelity sample in [0, 1] drawn with the supplied RNG.
 using Sampler = std::function<double(std::mt19937_64&)>;
-/// Per-worker sampler factory: called once per worker thread so a sampler
-/// can own scratch state (e.g. a gate-list copy) without synchronization.
+/// Per-worker sampler factory: called at most once per worker, on its first
+/// item, so a sampler can own scratch state (e.g. a gate-list copy) without
+/// synchronization.
 using SamplerFactory = std::function<Sampler(std::size_t worker)>;
 
-/// Fill one chunk's fidelity samples (values.size() <= chunk_size) drawing
-/// from `rng` exactly as the per-sample path would, in sample order --
-/// backends that evaluate a whole chunk at once (the batched TN plan
-/// executor) pre-draw per-sample randomness in order and then fill the
-/// values in one shot, which keeps the estimate bit-identical to
-/// sample-at-a-time evaluation.
-using ChunkSampler = std::function<void(std::mt19937_64&, std::span<double>)>;
-/// Per-worker chunk-sampler factory (owns scratch, like SamplerFactory).
-using ChunkSamplerFactory = std::function<ChunkSampler(std::size_t worker)>;
-
-/// Run `samples` trajectories with work-stealing over seed-indexed chunks.
-/// The result is identical for any `opts.threads` (including 1).
+/// Run `samples` trajectories over seed-indexed chunks: run_trajectories_sharded
+/// with one estimate and a per-sample sampler. The result is identical for
+/// any `opts.threads` (including 1).
 /// samples == 0 returns the well-defined empty estimate (0 samples, mean 0,
 /// no error bar) without invoking the sampler.
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
@@ -98,35 +97,6 @@ TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
 /// Convenience overload for samplers without per-worker scratch.
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
                                   const Sampler& sampler, const ParallelOptions& opts = {});
-
-/// Chunk-at-a-time variant of run_trajectories: same chunking, RNG streams,
-/// and deterministic Welford merge, but each chunk's samples are produced
-/// by one ChunkSampler call (enabling batched evaluation across the chunk).
-TrajectoryResult run_trajectories_chunked(std::size_t samples, std::uint64_t seed,
-                                          const ChunkSamplerFactory& make_sampler,
-                                          const ParallelOptions& opts = {});
-
-/// Fill one chunk's samples for MANY estimates at once:
-/// values[s * num_estimates + o] = trajectory s scored for estimate o
-/// (s < the passed sample count). Per-sample randomness must be drawn in
-/// sample order exactly as the single-estimate path would -- one draw set
-/// per trajectory, shared by every estimate -- so each estimate's stream
-/// matches its standalone run bit for bit.
-using MultiChunkSampler =
-    std::function<void(std::mt19937_64&, std::size_t, std::span<double>)>;
-/// Per-worker multi-estimate sampler factory (owns scratch).
-using MultiChunkSamplerFactory = std::function<MultiChunkSampler(std::size_t worker)>;
-
-/// run_trajectories_chunked over `num_estimates` estimates that share every
-/// trajectory's randomness (e.g. one sampled noise realization scored at
-/// many output bitstrings). Returns one TrajectoryResult per estimate;
-/// estimate o is bit-identical to the single-estimate runner fed stream o
-/// (same chunking, same per-chunk Welford accumulation, same chunk-order
-/// merge). samples == 0 yields well-defined empty estimates (0 samples,
-/// mean 0).
-std::vector<TrajectoryResult> run_trajectories_multi(
-    std::size_t samples, std::size_t num_estimates, std::uint64_t seed,
-    const MultiChunkSamplerFactory& make_sampler, const ParallelOptions& opts = {});
 
 /// Fill one chunk's samples for the estimates of ONE shard:
 /// values[s * shard_count + j] = trajectory s scored for estimate
@@ -139,20 +109,26 @@ std::vector<TrajectoryResult> run_trajectories_multi(
 using ShardChunkSampler =
     std::function<void(std::mt19937_64&, std::size_t, std::size_t, std::size_t,
                        std::span<double>)>;
-/// Per-worker shard-chunk sampler factory (owns scratch).
+/// Per-worker shard-chunk sampler factory (owns scratch; called at most once
+/// per worker, on its first item).
 using ShardChunkSamplerFactory = std::function<ShardChunkSampler(std::size_t worker)>;
 
-/// run_trajectories_multi over a single 2-D (estimate-shard x sample-chunk)
-/// work queue: the estimates are partitioned into shards of `shard_size`
-/// (0 = one shard holding all of them) and workers steal (shard, chunk)
-/// items, so a sweep with few sample chunks but many estimates fills every
-/// thread instead of idling on a chunk-only partition, and a worker's value
-/// buffer holds chunk_size x shard_size samples instead of chunk_size x
-/// num_estimates. Estimate o is bit-identical to run_trajectories_multi and
-/// to the single-estimate runner fed stream o, at every thread count and
-/// shard size: per-(estimate, chunk) Welford accumulation and the
-/// chunk-order merge are unchanged, and the chunk RNG streams depend only
-/// on (seed, chunk_size).
+/// Run `samples` trajectories for `num_estimates` estimates that share every
+/// trajectory's randomness (e.g. one sampled noise realization scored at
+/// many output bitstrings); returns one TrajectoryResult per estimate. The
+/// estimates are partitioned into shards of `shard_size` (0 = one shard
+/// holding all of them), and the (shard, chunk) items run as one
+/// run_phases phase on max(1, min(resolve_threads(opts.threads), items))
+/// workers that claim one item at a time -- at one worker, inline on the
+/// calling thread. A sweep with few sample chunks but many estimates so
+/// fills every thread, and a worker's value buffer holds chunk_size x
+/// shard_size samples instead of chunk_size x num_estimates. Estimate o is
+/// bit-identical to the single-estimate runner fed stream o, at every
+/// thread count and shard size: each (estimate, chunk) pair has its own
+/// Welford accumulator, they merge in chunk order, and the chunk RNG
+/// streams depend only on (seed, chunk_size). samples == 0 or
+/// num_estimates == 0 yields well-defined empty estimates without invoking
+/// the sampler; chunk_size == 0 throws LinalgError.
 std::vector<TrajectoryResult> run_trajectories_sharded(
     std::size_t samples, std::size_t num_estimates, std::size_t shard_size,
     std::uint64_t seed, const ShardChunkSamplerFactory& make_sampler,
@@ -179,7 +155,8 @@ enum class PhaseSplit {
 
 /// Run `phases` phases of independent items, in order, on `threads`
 /// workers -- a phased runner for passes whose items may be split anywhere
-/// (the density engine's slices, Algorithm 1's terms):
+/// (the density engine's slices, Algorithm 1's terms, the trajectory
+/// runner's (shard, chunk) items) and the one place src/sim/ starts threads:
 ///
 ///  * `threads` is used as given (no env/hardware resolution); it is
 ///    clamped to the largest phase's item count. At one worker everything

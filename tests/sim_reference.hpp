@@ -1,14 +1,18 @@
 #pragma once
 // Test-only references for the sim engines: the straightforward
-// full-range std::complex kernels, the K-copy density channel, and the
+// full-range std::complex kernels, the K-copy density channel, the
 // replay-every-sample trajectory loop that src/sim/ used before its fused
-// kernel layer and checkpointed sampler. The differential suite
+// kernel layer and checkpointed sampler, and the trajectory runner's
+// chunk/merge contract as a serial loop. The differential suite
 // (test_sim_differential.cpp) requires the library to match these
 // bit for bit.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "channels/noisy_circuit.hpp"
@@ -205,13 +209,46 @@ inline TrajectoryResult trajectories(const ch::NoisyCircuit& nc, std::uint64_t p
   return out;
 }
 
-/// The parallel estimator on the shared engine.
+/// One trajectory scored for every estimate: values[o] for estimate o.
+using Trajectory = std::function<void(std::mt19937_64&, std::span<double>)>;
+
+/// The trajectory runner's contract as a plain serial loop: chunk c holds
+/// trajectories [c * chunk_size, (c + 1) * chunk_size) and draws them in
+/// order from chunk_rng(seed, c); each (chunk, estimate) pair has its own
+/// Welford, and the chunks merge in chunk order. chunk_size must be > 0.
+inline std::vector<TrajectoryResult> run_chunks(std::size_t samples, std::size_t num_estimates,
+                                                std::uint64_t seed, std::size_t chunk_size,
+                                                const Trajectory& trajectory) {
+  std::vector<Welford> total(num_estimates);
+  std::vector<double> values(num_estimates);
+  for (std::size_t c = 0; c * chunk_size < samples; ++c) {
+    std::mt19937_64 rng = chunk_rng(seed, c);
+    std::vector<Welford> chunk(num_estimates);
+    const std::size_t end = std::min(samples, (c + 1) * chunk_size);
+    for (std::size_t s = c * chunk_size; s < end; ++s) {
+      trajectory(rng, values);
+      for (std::size_t o = 0; o < num_estimates; ++o) chunk[o].add(values[o]);
+    }
+    for (std::size_t o = 0; o < num_estimates; ++o) total[o].merge(chunk[o]);
+  }
+  std::vector<TrajectoryResult> out(num_estimates);
+  for (std::size_t o = 0; o < num_estimates; ++o) {
+    out[o].samples = total[o].count;
+    out[o].mean = total[o].mean;
+    if (total[o].count > 1)
+      out[o].std_error = std::sqrt(total[o].variance() / static_cast<double>(total[o].count));
+  }
+  return out;
+}
+
+/// The parallel estimator's seeded streams, drawn serially.
 inline TrajectoryResult trajectories(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                      std::uint64_t v_bits, std::size_t samples,
                                      std::uint64_t seed, const ParallelOptions& opts) {
-  return run_trajectories(
-      samples, seed,
-      [&](std::mt19937_64& rng) { return sample_trajectory(nc, psi_bits, v_bits, rng); }, opts);
+  return run_chunks(samples, 1, seed, opts.chunk_size,
+                    [&](std::mt19937_64& rng, std::span<double> values) {
+                      values[0] = sample_trajectory(nc, psi_bits, v_bits, rng);
+                    })[0];
 }
 
 }  // namespace noisim::sim::reference

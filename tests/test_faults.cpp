@@ -383,19 +383,25 @@ TEST_F(FaultTest, TrajectoryChunkThrowPropagatesAndRerunsBitIdentical) {
     std::uniform_real_distribution<double> u(0.0, 1.0);
     return u(rng);
   };
-  sim::ParallelOptions popts;
-  popts.threads = 2;
-  const sim::TrajectoryResult base = sim::run_trajectories(512, 7, sampler, popts);
-
-  for (const std::uint64_t nth : {std::uint64_t{1}, std::uint64_t{4}}) {
-    fault::arm("traj-chunk", nth);
-    EXPECT_THROW(sim::run_trajectories(512, 7, sampler, popts), fault::FaultError);
-    EXPECT_TRUE(fault::fired("traj-chunk"));
-    const sim::TrajectoryResult rerun = sim::run_trajectories(512, 7, sampler, popts);
-    EXPECT_EQ(rerun.mean, base.mean) << "nth=" << nth;
-    EXPECT_EQ(rerun.std_error, base.std_error) << "nth=" << nth;
-    EXPECT_EQ(rerun.samples, base.samples) << "nth=" << nth;
-    fault::disarm_all();
+  // The runner is one run_phases phase: traj-chunk fires per item,
+  // sim-phase once per worker.
+  for (const char* site : {"traj-chunk", "sim-phase"})
+  for (const std::uint64_t threads : {std::uint64_t{2}, std::uint64_t{4}}) {
+    sim::ParallelOptions popts;
+    popts.threads = threads;
+    const sim::TrajectoryResult base = sim::run_trajectories(512, 7, sampler, popts);
+    const std::uint64_t last = std::string(site) == "sim-phase" ? threads : 4;
+    for (const std::uint64_t nth : {std::uint64_t{1}, last}) {
+      fault::arm(site, nth);
+      EXPECT_THROW(sim::run_trajectories(512, 7, sampler, popts), fault::FaultError)
+          << site << " threads=" << threads << " nth=" << nth;
+      EXPECT_TRUE(fault::fired(site));
+      const sim::TrajectoryResult rerun = sim::run_trajectories(512, 7, sampler, popts);
+      EXPECT_EQ(rerun.mean, base.mean) << site << " threads=" << threads << " nth=" << nth;
+      EXPECT_EQ(rerun.std_error, base.std_error) << site << " threads=" << threads;
+      EXPECT_EQ(rerun.samples, base.samples) << site << " threads=" << threads;
+      fault::disarm_all();
+    }
   }
 }
 

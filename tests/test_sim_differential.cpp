@@ -3,15 +3,22 @@
 // the checkpointed trajectory sampler must reproduce the straightforward
 // implementations in sim_reference.hpp to the last bit -- compared with
 // memcmp, so signed zeros count too. The phased runner under the density
-// engine (sim::run_phases) is covered here as well.
+// engine (sim::run_phases) and the trajectory runner on it
+// (sim::run_trajectories_sharded, against the serial reference::run_chunks)
+// are covered here as well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_support/generators.hpp"
 #include "channels/catalog.hpp"
@@ -34,6 +41,13 @@ bool same_bits(const cplx* a, const cplx* b, std::size_t n) {
 
 bool same_bits(const TrajectoryResult& a, const TrajectoryResult& b) {
   return a.samples == b.samples && same_bits(a.mean, b.mean) && same_bits(a.std_error, b.std_error);
+}
+
+bool same_bits(const std::vector<TrajectoryResult>& a, const std::vector<TrajectoryResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t o = 0; o < a.size(); ++o)
+    if (!same_bits(a[o], b[o])) return false;
+  return true;
 }
 
 /// a := max(a, v), atomically.
@@ -403,19 +417,131 @@ TEST(RunPhases, StopsEveryWorkerInTheFailingPhase) {
 TEST(RunPhases, ApproximateFidelityIsBitIdenticalAcrossThreads) {
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::qaoa(9, 1, 5), 4, bench::depolarizing_noise(0.02), 9);
-  for (const bool reuse : {true, false}) {
+  for (const bool reuse : {true, false})
+  for (const std::size_t threads : {0, 4}) {
     core::ApproxOptions opts;
     opts.level = 2;
     opts.reuse_plans = reuse;
     opts.threads = 1;
     const core::ApproxResult serial = core::approximate_fidelity(nc, 0, 0, opts);
-    opts.threads = 4;
+    opts.threads = threads;
+    // Progress calls are serialized, and the static term split hands every
+    // worker terms to report: threads = 0 resolves to the default count.
+    std::set<std::thread::id> ran_on;
+    opts.progress = [&](std::size_t) { ran_on.insert(std::this_thread::get_id()); };
     const core::ApproxResult parallel = core::approximate_fidelity(nc, 0, 0, opts);
+    EXPECT_EQ(ran_on.size(), std::min(resolve_threads(threads), parallel.contractions / 2))
+        << "threads " << threads;
     EXPECT_TRUE(same_bits(parallel.value, serial.value)) << "reuse " << reuse;
     ASSERT_EQ(parallel.level_values.size(), serial.level_values.size());
     for (std::size_t u = 0; u < serial.level_values.size(); ++u)
       EXPECT_TRUE(same_bits(parallel.level_values[u], serial.level_values[u]));
     EXPECT_EQ(parallel.contractions, serial.contractions);
+  }
+}
+
+// --- the trajectory runner ----------------------------------------------------
+
+/// A synthetic trajectory for the runner tests: one or two draws (data
+/// dependent), scored differently for every estimate.
+void synthetic_trajectory(std::mt19937_64& rng, std::span<double> values) {
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  double u = unif(rng);
+  if (u < 0.3) u = 0.5 * (u + unif(rng));
+  for (std::size_t o = 0; o < values.size(); ++o)
+    values[o] = std::pow(u, 1.0 + 0.5 * static_cast<double>(o));
+}
+
+/// Runner samplers for synthetic_trajectory over `num_estimates` estimates:
+/// each trajectory is drawn whole and the shard's estimates copied out, so
+/// every shard consumes the same draws. `made` counts factory calls.
+ShardChunkSamplerFactory synthetic_factory(std::size_t num_estimates,
+                                           std::atomic<std::size_t>* made = nullptr) {
+  return [num_estimates, made](std::size_t) -> ShardChunkSampler {
+    if (made) made->fetch_add(1);
+    return [all = std::vector<double>(num_estimates)](
+               std::mt19937_64& rng, std::size_t shard_begin, std::size_t shard_count,
+               std::size_t count, std::span<double> values) mutable {
+      ASSERT_EQ(values.size(), count * shard_count);
+      for (std::size_t s = 0; s < count; ++s) {
+        synthetic_trajectory(rng, all);
+        std::copy_n(all.begin() + static_cast<std::ptrdiff_t>(shard_begin), shard_count,
+                    values.begin() + static_cast<std::ptrdiff_t>(s * shard_count));
+      }
+    };
+  };
+}
+
+TEST(RunTrajectories, ShardedMatchesSerialReference) {
+  constexpr std::size_t K = 5;
+  for (const std::size_t chunk : {1, 7, 32})
+  for (const std::size_t samples : {0, 1, 31, 32, 33, 500}) {
+    const std::vector<TrajectoryResult> want =
+        reference::run_chunks(samples, K, 11, chunk, synthetic_trajectory);
+    for (const std::size_t threads : {1, 2, 3, 4})
+    for (const std::size_t shard : {std::size_t{0}, std::size_t{1}, std::size_t{3}, K}) {
+      ParallelOptions opts;
+      opts.threads = threads;
+      opts.chunk_size = chunk;
+      EXPECT_TRUE(same_bits(
+          run_trajectories_sharded(samples, K, shard, 11, synthetic_factory(K), opts), want))
+          << "chunk " << chunk << " samples " << samples << " threads " << threads << " shard "
+          << shard;
+    }
+  }
+}
+
+TEST(RunTrajectories, PerSampleAdapterMatchesSerialReference) {
+  const Sampler sampler = [](std::mt19937_64& rng) {
+    double v = 0.0;
+    synthetic_trajectory(rng, std::span<double>(&v, 1));
+    return v;
+  };
+  for (const std::size_t chunk : {1, 7, 32})
+  for (const std::size_t samples : {0, 1, 31, 32, 33, 500}) {
+    const TrajectoryResult want =
+        reference::run_chunks(samples, 1, 5, chunk, synthetic_trajectory)[0];
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      ParallelOptions opts;
+      opts.threads = threads;
+      opts.chunk_size = chunk;
+      EXPECT_TRUE(same_bits(run_trajectories(samples, 5, sampler, opts), want))
+          << "chunk " << chunk << " samples " << samples << " threads " << threads;
+    }
+  }
+}
+
+TEST(RunTrajectories, MoreThreadsThanItemsBuildsOneSamplerPerWorkerUsed) {
+  ParallelOptions opts;
+  opts.threads = 16;
+  // One item (3 samples in one chunk, one shard): one sampler, inline.
+  std::atomic<std::size_t> made{0};
+  EXPECT_TRUE(same_bits(run_trajectories_sharded(3, 2, 0, 9, synthetic_factory(2, &made), opts),
+                        reference::run_chunks(3, 2, 9, 32, synthetic_trajectory)));
+  EXPECT_EQ(made.load(), 1u);
+  // Six items (2 chunks x 3 shards): at most one sampler per item.
+  made = 0;
+  EXPECT_TRUE(same_bits(run_trajectories_sharded(40, 3, 1, 9, synthetic_factory(3, &made), opts),
+                        reference::run_chunks(40, 3, 9, 32, synthetic_trajectory)));
+  EXPECT_GE(made.load(), 1u);
+  EXPECT_LE(made.load(), 6u);
+  // No estimates or no samples: empty results, and no sampler is built.
+  made = 0;
+  EXPECT_TRUE(run_trajectories_sharded(40, 0, 1, 9, synthetic_factory(0, &made), opts).empty());
+  EXPECT_TRUE(same_bits(run_trajectories_sharded(0, 3, 1, 9, synthetic_factory(3, &made), opts),
+                        std::vector<TrajectoryResult>(3)));
+  EXPECT_EQ(made.load(), 0u);
+}
+
+TEST(RunTrajectories, RejectsZeroChunkSize) {
+  ParallelOptions opts;
+  opts.chunk_size = 0;
+  for (const std::size_t samples : {0, 10}) {
+    EXPECT_THROW(run_trajectories_sharded(samples, 2, 1, 9, synthetic_factory(2), opts),
+                 LinalgError);
+    EXPECT_THROW(run_trajectories(
+                     samples, 9, [](std::mt19937_64&) { return 0.0; }, opts),
+                 LinalgError);
   }
 }
 

@@ -1,7 +1,7 @@
 // Property tests for the sharded XEB sweep engine: seeded random small
 // circuits x noise models, asserting BITWISE equality of core::xeb_sweep
 // against the per-bitstring approximate_fidelity reference across thread
-// counts {1, 2, 7}, shard sizes {1, 3, K}, plan-cache cold vs warm vs
+// counts {0 (the default count), 1, 2, 7}, shard sizes {1, 3, K}, plan-cache cold vs warm vs
 // disabled, and levels 0-2 -- plus the sharded trajectory sweep against its
 // per-bitstring reference and the degenerate (K = 0) inputs of every
 // output-batched API.
@@ -110,7 +110,7 @@ TEST(SweepProperties, RandomCircuitsBitIdenticalAcrossThreadsShardsCacheLevels) 
     for (const std::uint64_t v : vb) refs.push_back(approximate_fidelity(nc, 0, v, base));
 
     PlanCache cache;  // cold on the first variant, warm afterwards
-    for (const std::size_t threads : {1ul, 2ul, 7ul}) {
+    for (const std::size_t threads : {0ul, 1ul, 2ul, 7ul}) {
       for (const std::size_t shard : {std::size_t{1}, std::size_t{3}, K}) {
         for (const bool cached : {false, true}) {
           SweepOptions sopts;
@@ -293,7 +293,6 @@ TEST(SweepProperties, EmptyBitstringSpansAreWellDefinedEverywhere) {
 
     // Trajectory sweeps: no outputs -> no estimates; zero samples -> K
     // empty estimates (and no capacity-0 plans on either path).
-    EXPECT_TRUE(trajectories_tn_outputs(nc, 0, {}, 10, 7, popts, eval).empty());
     EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, eval).empty());
     const std::vector<std::uint64_t> vb{0, 1, 2};
     const auto zero = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, eval);

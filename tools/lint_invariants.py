@@ -48,6 +48,14 @@ exercised by --self-test):
                     with the scalar sim/tensor kernels. ISA tiers are
                     opted into per source file (-mavx2 / -mavx512f), never
                     globally.
+  thread-spawn-sites
+                    under src/, std::thread / std::jthread and std::async
+                    appear only in sim/parallel.cpp (run_phases, the
+                    library's thread pool) and core/approx.cpp (the XEB
+                    sweep queue) -- every other parallel pass runs on
+                    run_phases, so cancellation, fault sites and the abort
+                    gate stay in one place. std::this_thread and
+                    std::thread::hardware_concurrency / ::id do not count.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -72,6 +80,7 @@ RULES = (
     "mutex-guards",
     "plan-compile-sites",
     "no-native-arch",
+    "thread-spawn-sites",
 )
 
 
@@ -510,6 +519,26 @@ def check_no_native_arch(cmake_texts):
     return findings
 
 
+THREAD_SPAWN_RE = re.compile(r"\bstd\s*::\s*(?:j?thread\b(?!\s*::)|async\b)")
+THREAD_SPAWN_SITES = {("src", "sim", "parallel.cpp"), ("src", "core", "approx.cpp")}
+
+
+def check_thread_spawn_sites(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        rel = path.relative_to(root).parts
+        if rel[:1] != ("src",) or rel in THREAD_SPAWN_SITES:
+            continue
+        code = strip_code(text)
+        for m in THREAD_SPAWN_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "thread-spawn-sites",
+                f"'{m.group(0)}' outside sim/parallel.cpp and core/approx.cpp; run "
+                "the pass on sim::run_phases so cancellation, fault sites and "
+                "the abort gate stay in one pool"))
+    return findings
+
+
 def run_rules(root, cxx_files, cmake_texts):
     findings = []
     findings += check_ffp_contract(root, cxx_files, cmake_texts)
@@ -520,6 +549,7 @@ def run_rules(root, cxx_files, cmake_texts):
     findings += check_mutex_guards(cxx_files)
     findings += check_plan_compile_sites(cxx_files)
     findings += check_no_native_arch(cmake_texts)
+    findings += check_thread_spawn_sites(root, cxx_files)
     return findings
 
 
